@@ -1,8 +1,7 @@
 //! Criterion: plan/execute retrieval — one QoI versus three QoIs deriving
 //! from shared fields, per storage backend. The 3-QoI batched plan
 //! schedules each shared field's fragments once, so its cost should sit
-//! far closer to the 1-QoI arm than to 3× it; the per-fragment
-//! (`batch_io: false`) arm isolates what range coalescing buys on files.
+//! far closer to the 1-QoI arm than to 3× it.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
@@ -37,12 +36,8 @@ fn specs(ds: &Dataset, many: bool) -> Vec<QoiSpec> {
     v
 }
 
-fn execute_plan(
-    source: std::sync::Arc<dyn FragmentSource>,
-    specs: &[QoiSpec],
-    cfg: EngineConfig,
-) -> usize {
-    let mut engine = RetrievalEngine::from_source(source, cfg).unwrap();
+fn execute_plan(source: std::sync::Arc<dyn FragmentSource>, specs: &[QoiSpec]) -> usize {
+    let mut engine = RetrievalEngine::from_source(source, EngineConfig::default()).unwrap();
     let plan = RetrievalPlan::resolve(&engine, specs.to_vec(), None).unwrap();
     let report = PlanExecutor::new(&mut engine).execute(&plan).unwrap();
     assert!(report.satisfied);
@@ -66,25 +61,13 @@ fn bench_multi_qoi_plan(c: &mut Criterion) {
     for (arm, many) in [("1qoi", false), ("3qoi_shared", true)] {
         let sp = specs(&ds, many);
         g.bench_function(BenchmarkId::new(arm, "resident"), |b| {
-            b.iter(|| execute_plan(resident.clone(), &sp, EngineConfig::default()))
+            b.iter(|| execute_plan(resident.clone(), &sp))
         });
         g.bench_function(BenchmarkId::new(arm, "in_memory"), |b| {
-            b.iter(|| execute_plan(mem.clone(), &sp, EngineConfig::default()))
+            b.iter(|| execute_plan(mem.clone(), &sp))
         });
         g.bench_function(BenchmarkId::new(arm, "file_batched"), |b| {
-            b.iter(|| execute_plan(file.clone(), &sp, EngineConfig::default()))
-        });
-        g.bench_function(BenchmarkId::new(arm, "file_per_fragment"), |b| {
-            b.iter(|| {
-                execute_plan(
-                    file.clone(),
-                    &sp,
-                    EngineConfig {
-                        batch_io: false,
-                        ..Default::default()
-                    },
-                )
-            })
+            b.iter(|| execute_plan(file.clone(), &sp))
         });
     }
     g.finish();

@@ -144,12 +144,6 @@ pub struct EngineConfig {
     /// parallelises at a coarser granularity (e.g. the per-block transfer
     /// pipeline) — nested thread pools oversubscribe and distort timings.
     pub parallel_scan: bool,
-    /// Batch each refinement round's fragment schedule through
-    /// [`FragmentSource::read_many`] (coalesced ranges on files, one
-    /// round-trip per batch on remote stores) before the readers consume
-    /// it. Disable to force the legacy per-fragment fetch path — useful
-    /// for I/O comparisons; the bytes moved are identical either way.
-    pub batch_io: bool,
     /// Worker-thread budget — the shared knob for per-field decode during
     /// plan execution here and for the encode fan-out on the write path
     /// (`Dataset::refactor_with_workers` takes the same value; the CLI
@@ -186,7 +180,6 @@ impl Default for EngineConfig {
             max_tightenings: 512,
             bound_config: BoundConfig::default(),
             parallel_scan: true,
-            batch_io: true,
             workers: 0,
             overlap_io: true,
             store_budget_bytes: None,
@@ -445,10 +438,8 @@ impl RetrievalEngine {
         if r.remaining() != 0 {
             return Err(PqrError::CorruptStream("trailing progress bytes".into()));
         }
-        if cfg.batch_io {
-            engine.source_order(&mut ids);
-            engine.prefetch(&ids)?;
-        }
+        engine.source_order(&mut ids);
+        engine.prefetch(&ids)?;
         for (i, p) in markers.iter().enumerate() {
             engine.readers[i].restore(p)?;
         }
@@ -513,9 +504,8 @@ impl RetrievalEngine {
     /// This is now a thin wrapper over plan execution: the specs resolve
     /// into a [`crate::plan::RetrievalPlan`] and a
     /// [`crate::plan::PlanExecutor`] drives the refine→estimate→tighten
-    /// loop with batched fragment I/O (unless
-    /// [`EngineConfig::batch_io`] is off) — there is exactly one fetch
-    /// code path. Use the plan API directly for per-target reporting,
+    /// loop with batched fragment I/O — there is exactly one fetch code
+    /// path. Use the plan API directly for per-target reporting,
     /// byte budgets and shared-fragment accounting.
     pub fn retrieve(&mut self, qois: &[QoiSpec]) -> Result<RetrievalReport> {
         let plan = crate::plan::RetrievalPlan::resolve(self, qois.to_vec(), None)?;
@@ -568,7 +558,7 @@ impl RetrievalEngine {
         }
     }
 
-    /// Executes one refinement round: stages `schedule` (batched, and
+    /// Executes one refinement round: stages the `ids` schedule (batched, and
     /// overlapped with decode when [`EngineConfig::overlap_io`] allows),
     /// then refines every field with a finite requested bound — in
     /// parallel across fields, since their cursors are independent.
@@ -577,57 +567,49 @@ impl RetrievalEngine {
     /// legacy prefetch-then-refine sequence; the parallel/overlapped
     /// variants produce bit-identical reconstructions and byte accounting
     /// (asserted by `prop_plan_equivalence` and the engine tests below).
-    pub(crate) fn refine_round(
-        &mut self,
-        requested: &[f64],
-        schedule: Option<&[FragmentId]>,
-    ) -> Result<()> {
+    pub(crate) fn refine_round(&mut self, requested: &[f64], ids: &[FragmentId]) -> Result<()> {
         let workers = self.workers();
-        match schedule {
-            Some(ids) if self.cfg.overlap_io && ids.len() >= OVERLAP_MIN_FRAGMENTS => {
-                let source = Arc::clone(&self.source);
-                let stage = Arc::clone(&self.stage);
-                let chunk = ids.len().div_ceil(OVERLAP_CHUNKS).max(1);
-                let (io_before, wait_before) = (stage.io_nanos(), stage.wait_nanos());
-                stage.begin_round(ids);
-                let decoded = std::thread::scope(|s| {
-                    let io = s.spawn({
-                        let stage = Arc::clone(&stage);
-                        move || -> Result<()> {
-                            let _guard = RoundGuard(&stage);
-                            let t0 = std::time::Instant::now();
-                            for chunk_ids in ids.chunks(chunk) {
-                                let payloads = source.read_many(chunk_ids)?;
-                                for (&id, payload) in chunk_ids.iter().zip(payloads) {
-                                    stage.put(id, payload);
-                                }
+        if self.cfg.overlap_io && ids.len() >= OVERLAP_MIN_FRAGMENTS {
+            let source = Arc::clone(&self.source);
+            let stage = Arc::clone(&self.stage);
+            let chunk = ids.len().div_ceil(OVERLAP_CHUNKS).max(1);
+            let (io_before, wait_before) = (stage.io_nanos(), stage.wait_nanos());
+            stage.begin_round(ids);
+            let decoded = std::thread::scope(|s| {
+                let io = s.spawn({
+                    let stage = Arc::clone(&stage);
+                    move || -> Result<()> {
+                        let _guard = RoundGuard(&stage);
+                        let t0 = std::time::Instant::now();
+                        for chunk_ids in ids.chunks(chunk) {
+                            let payloads = source.read_many(chunk_ids)?;
+                            for (&id, payload) in chunk_ids.iter().zip(payloads) {
+                                stage.put(id, payload);
                             }
-                            stage.add_io_nanos(t0.elapsed().as_nanos() as u64);
-                            Ok(())
                         }
-                    });
-                    let decoded = self.refine_fields(requested, workers);
-                    // decode's verdict wins: it fell back to direct fetches
-                    // for anything the prefetcher failed to deliver, so a
-                    // prefetch error with a clean decode is only lost overlap
-                    let _ = io.join().expect("prefetcher panicked");
-                    decoded
+                        stage.add_io_nanos(t0.elapsed().as_nanos() as u64);
+                        Ok(())
+                    }
                 });
-                // credit this round's hidden I/O (clamped per round, so a
-                // stall-heavy round cannot erase another round's saving)
-                let io = stage.io_nanos() - io_before;
-                let wait = stage.wait_nanos() - wait_before;
-                stage.add_saved_nanos(io.saturating_sub(wait));
+                let decoded = self.refine_fields(requested, workers);
+                // decode's verdict wins: it fell back to direct fetches
+                // for anything the prefetcher failed to deliver, so a
+                // prefetch error with a clean decode is only lost overlap
+                let _ = io.join().expect("prefetcher panicked");
                 decoded
-            }
-            Some(ids) => {
-                // mirror the overlapped arm's error contract: a failed
-                // batch degrades to the readers' per-fragment fallback
-                // fetches, and decode's verdict decides the round
-                let _ = self.prefetch(ids);
-                self.refine_fields(requested, workers)
-            }
-            None => self.refine_fields(requested, workers),
+            });
+            // credit this round's hidden I/O (clamped per round, so a
+            // stall-heavy round cannot erase another round's saving)
+            let io = stage.io_nanos() - io_before;
+            let wait = stage.wait_nanos() - wait_before;
+            stage.add_saved_nanos(io.saturating_sub(wait));
+            decoded
+        } else {
+            // mirror the overlapped arm's error contract: a failed
+            // batch degrades to the readers' per-fragment fallback
+            // fetches, and decode's verdict decides the round
+            let _ = self.prefetch(ids);
+            self.refine_fields(requested, workers)
         }
     }
 
@@ -646,6 +628,10 @@ impl RetrievalEngine {
         // would serialize on pool dispatch instead. Fewer than two pending
         // fields never benefits from parallelism, so take the sequential
         // arm — bit-identical by construction, each reader refines alone.
+        // A bounded store picks eviction victims by recency and skips
+        // fields busy refining, so concurrent per-field refines would let
+        // thread timing choose the victims (and with them every later
+        // rehydration's source traffic): such rounds refine in field order.
         let pending = self
             .readers
             .iter()
@@ -656,7 +642,8 @@ impl RetrievalEngine {
                     .is_some_and(|eb| eb.is_finite() && reader.guaranteed_bound() > *eb)
             })
             .count();
-        if workers <= 1 || pending < 2 {
+        let bounded_store = self.store.as_ref().is_some_and(|s| s.budget().is_bounded());
+        if workers <= 1 || pending < 2 || bounded_store {
             for (j, reader) in self.readers.iter_mut().enumerate() {
                 if requested.get(j).is_some_and(|eb| eb.is_finite()) {
                     reader.refine_to(requested[j])?;
@@ -1017,6 +1004,19 @@ mod tests {
             .refactor_with_bounds(Scheme::Psz3, &[1e-1, 1e-2])
             .unwrap();
         assert!(RetrievalEngine::resume(&other, EngineConfig::default(), &blob).is_err());
+        // a PSZ3 marker claiming more fetched bytes than its snapshots
+        // hold (resume frames come from remote clients)
+        let mut w = pqr_util::byteio::ByteWriter::new();
+        w.put_raw(b"PQRP");
+        w.put_u32(other.num_fields() as u32);
+        for _ in 0..other.num_fields() {
+            crate::refactored::ReaderProgress::Snapshots {
+                next: 1,
+                fetched: u64::MAX,
+            }
+            .write(&mut w);
+        }
+        assert!(RetrievalEngine::resume(&other, EngineConfig::default(), &w.finish()).is_err());
     }
 
     #[test]

@@ -358,26 +358,21 @@ impl<'e> PlanExecutor<'e> {
             // batch the round's fragment schedule through read_many —
             // overlapping the chunked I/O with decode and fanning the
             // independent per-field cursors across decode workers (see
-            // `RetrievalEngine::refine_round`); the per-fragment path stays
-            // available as the fallback and the `batch_io: false` arm.
-            // Alg. 2 line 10 (progressive_construct each involved field)
-            // happens inside the round.
-            if engine.config().batch_io {
-                // round 1 reuses the schedule resolve() already computed,
-                // unless the engine advanced in between (then some of that
-                // schedule may already be consumed and must be re-planned)
-                let replanned;
-                let ids: &[FragmentId] =
-                    if iterations == 1 && fetched_before == plan.resolved_at_fetched {
-                        &plan.schedule
-                    } else {
-                        replanned = round_schedule(engine, &requested)?.0;
-                        &replanned
-                    };
-                engine.refine_round(&requested, Some(ids))?;
-            } else {
-                engine.refine_round(&requested, None)?;
-            }
+            // `RetrievalEngine::refine_round`); a fragment missing from the
+            // stage falls back to a per-fragment fetch. Alg. 2 line 10
+            // (progressive_construct each involved field) happens inside
+            // the round. Round 1 reuses the schedule resolve() already
+            // computed, unless the engine advanced in between (then some of
+            // that schedule may already be consumed and must be re-planned)
+            let replanned;
+            let ids: &[FragmentId] =
+                if iterations == 1 && fetched_before == plan.resolved_at_fetched {
+                    &plan.schedule
+                } else {
+                    replanned = round_schedule(engine, &requested)?.0;
+                    &replanned
+                };
+            engine.refine_round(&requested, ids)?;
             // Alg. 2 lines 13–24: estimate QoI errors everywhere.
             let achieved: Vec<f64> = engine
                 .readers()

@@ -561,7 +561,6 @@ impl FieldReader {
                 index: 0,
             })
         };
-        let (mut open_passes, mut open_nanos) = (0u64, 0u64);
         let (state, recon, bound, fetched) = match entry.scheme {
             Scheme::Psz3 | Scheme::Psz3Delta => (
                 ReaderState::Snapshots {
@@ -597,16 +596,10 @@ impl FieldReader {
                 }
                 let cursor = MgardCursor::new(meta);
                 let bound = cursor.guaranteed_bound();
-                // the metadata (always fetched) carries the root value, so
-                // the zero-plane reconstruction is already meaningful
-                let t0 = std::time::Instant::now();
-                let mut recon = Vec::new();
-                open_passes = cursor.reconstruct_into(&mut recon, 1);
-                open_nanos = t0.elapsed().as_nanos() as u64;
                 let fetched = meta_bytes.len();
                 (
                     ReaderState::Mgard { cursor, level_base },
-                    recon,
+                    Vec::new(),
                     bound,
                     fetched,
                 )
@@ -636,7 +629,7 @@ impl FieldReader {
                 (ReaderState::Zfp(cursor), vec![0.0; n], bound, fetched)
             }
         };
-        Ok(Self {
+        let mut reader = Self {
             source,
             field: fid,
             scheme: entry.scheme,
@@ -647,11 +640,17 @@ impl FieldReader {
             fetched,
             consumed: 0,
             workers: 1,
-            recompose_passes: open_passes,
+            recompose_passes: 0,
             recon_cache_hits: 0,
-            reconstruct_nanos: open_nanos,
+            reconstruct_nanos: 0,
             state,
-        })
+        };
+        if let ReaderState::Mgard { .. } = reader.state {
+            // the metadata (always fetched) carries the root value, so the
+            // zero-plane reconstruction is already meaningful
+            reader.rebuild();
+        }
+        Ok(reader)
     }
 
     /// Opens a reader as a **view** onto field `field` of a shared
@@ -877,16 +876,17 @@ impl FieldReader {
         }
     }
 
-    /// The fragment indices [`FieldReader::refine_to`]`(eb)` would fetch
+    /// The fragment indices [`FieldReader::refine_to`]`(eb)` will fetch
     /// from the current state, in consume order, **without fetching** —
-    /// the per-field refinement front a retrieval plan schedules. Exact by
-    /// construction: every representation's bound model is a function of
+    /// the per-field refinement front a retrieval plan schedules, and the
+    /// very schedule `refine_to` then consumes. Planning ahead is possible
+    /// because every representation's bound model is a function of
     /// consumed-fragment counts and directory/metadata values only
     /// (snapshot directory bounds, MGARD truncation exponents, ZFP
     /// `bound_after`), never of payload contents.
     pub fn plan_refine_to(&self, eb: f64) -> Vec<u32> {
         if eb.is_nan() || eb < 0.0 || self.bound <= eb {
-            return Vec::new(); // mirrors refine_to's early exits
+            return Vec::new(); // already within eb, or no valid target
         }
         match &self.state {
             ReaderState::Snapshots { next, delta } => {
@@ -966,18 +966,38 @@ impl FieldReader {
     /// from a *fresh* reader, in consume order, without fetching — the
     /// restore schedule a resumed session batches through
     /// [`FragmentSource::read_many`]. Validates the marker against the
-    /// directory exactly as `restore` does.
+    /// directory: markers arrive from outside the process (saved files, a
+    /// client's resume frame), so one asking for more than the archive
+    /// holds, or claiming a byte count its snapshot index cannot produce,
+    /// is rejected.
     pub fn plan_restore(&self, progress: &ReaderProgress) -> Result<Vec<u32>> {
         match (&self.state, progress) {
             (
                 ReaderState::Snapshots { delta, .. },
-                ReaderProgress::Snapshots { next: want, .. },
+                ReaderProgress::Snapshots {
+                    next: want,
+                    fetched,
+                },
             ) => {
                 let want = *want as usize;
                 if want > self.frags.len() {
                     return Err(PqrError::InvalidRequest(format!(
                         "progress wants snapshot {want}, archive has {}",
                         self.frags.len()
+                    )));
+                }
+                // delta fetched exactly the prefix; plain PSZ3 fetched the
+                // last snapshot plus some subset of the earlier ones
+                let prefix: u64 = self.frags[..want].iter().map(|f| f.len).sum();
+                let least = if *delta || want == 0 {
+                    prefix
+                } else {
+                    self.frags[want - 1].len
+                };
+                if !(least..=prefix).contains(fetched) {
+                    return Err(PqrError::InvalidRequest(format!(
+                        "progress claims {fetched} fetched bytes at snapshot {want}, \
+                         the archive allows {least}..={prefix}"
                     )));
                 }
                 Ok(if *delta {
@@ -1064,240 +1084,101 @@ impl FieldReader {
             *snap = next;
             return Ok(self.fetched - before);
         }
-        if self.bound <= eb {
+        let plan = self.plan_refine_to(eb);
+        if plan.is_empty() {
+            // the memoized reconstruction stands: zero decodes, zero
+            // recompose passes
             self.recon_cache_hits += 1;
             return Ok(0);
         }
         let before = self.fetched;
-        // the state is moved out so `self.fetch` can borrow mutably; every
-        // arm puts it back
-        let mut state = std::mem::replace(
-            &mut self.state,
-            ReaderState::Snapshots {
-                next: 0,
-                delta: false,
-            },
-        );
-        let result = self.refine_state(&mut state, eb);
-        self.state = state;
-        result?;
+        self.apply(&plan)?;
         Ok(self.fetched - before)
-    }
-
-    fn refine_state(&mut self, state: &mut ReaderState, eb: f64) -> Result<()> {
-        match state {
-            ReaderState::Snapshots { next, delta } => {
-                // a ladder-less (zero-snapshot) field is born exhausted: the
-                // zero-vector reconstruction at the max|x| bound is all it
-                // can ever offer
-                if self.frags.is_empty() {
-                    return Ok(());
-                }
-                let sz = SzCompressor::new(SzConfig::default());
-                // target: smallest index with eb_abs ≤ eb (ladder is sorted
-                // descending); if none, the last (floor).
-                let target = match self.frags.iter().position(|s| s.eb_abs <= eb) {
-                    Some(i) => i,
-                    None => self.frags.len() - 1,
-                };
-                if *delta {
-                    // fetch the prefix ..=target that is still missing
-                    while *next <= target && *next < self.frags.len() {
-                        let eb_abs = self.frags[*next].eb_abs;
-                        let blob = self.fetch(*next as u32)?;
-                        let (part, _) = sz.decompress(&blob)?;
-                        for (acc, p) in self.recon.owned_mut().iter_mut().zip(&part) {
-                            *acc += p;
-                        }
-                        self.bound = eb_abs;
-                        *next += 1;
-                    }
-                } else if target >= *next {
-                    // plain PSZ3 re-fetches the full adequate snapshot —
-                    // the cross-snapshot redundancy of §V-B
-                    let eb_abs = self.frags[target].eb_abs;
-                    let blob = self.fetch(target as u32)?;
-                    let (recon, _) = sz.decompress(&blob)?;
-                    self.recon = Recon::Owned(Arc::new(recon));
-                    self.bound = eb_abs;
-                    *next = target + 1;
-                }
-            }
-            ReaderState::Mgard { cursor, level_base } => {
-                let mut pushed = false;
-                while cursor.guaranteed_bound() > eb {
-                    let Some((l, p)) = cursor.next_plane() else {
-                        break; // exhausted
-                    };
-                    let bytes = self.fetch(level_base[l] + p as u32)?;
-                    cursor.push_plane(l, &bytes)?;
-                    pushed = true;
-                }
-                if pushed {
-                    let t0 = std::time::Instant::now();
-                    let mut buf = self.take_recon_buf();
-                    self.recompose_passes += cursor.reconstruct_into(&mut buf, self.workers);
-                    self.reconstruct_nanos += t0.elapsed().as_nanos() as u64;
-                    self.recon = Recon::Owned(Arc::new(buf));
-                } else {
-                    // zero-decode round: the memoized reconstruction stands,
-                    // zero recompose passes run
-                    self.recon_cache_hits += 1;
-                }
-                self.bound = cursor.guaranteed_bound().min(self.bound);
-            }
-            ReaderState::Zfp(cursor) => {
-                let mut pushed = false;
-                while cursor.guaranteed_bound() > eb && !cursor.fully_fetched() {
-                    let bytes = self.fetch(1 + cursor.planes_read())?;
-                    cursor.push_plane(&bytes)?;
-                    pushed = true;
-                }
-                // The zfp bound model is conservative: for the first few
-                // planes it can exceed the zero-vector bound max|x| this
-                // reader starts from. Only adopt the zfp reconstruction
-                // once its guarantee beats the current one; the fetched
-                // planes are retained in the cursor either way. A
-                // zero-decode round leaves the cursor (and hence the
-                // reconstruction) unchanged, so the memoized buffer stands.
-                let zb = cursor.guaranteed_bound();
-                if pushed && zb <= self.bound {
-                    let t0 = std::time::Instant::now();
-                    let mut buf = self.take_recon_buf();
-                    cursor.reconstruct_into(&mut buf, self.workers);
-                    self.reconstruct_nanos += t0.elapsed().as_nanos() as u64;
-                    self.recon = Recon::Owned(Arc::new(buf));
-                    self.bound = zb;
-                } else if !pushed {
-                    self.recon_cache_hits += 1;
-                }
-            }
-            // refine_to short-circuits shared views through the store
-            ReaderState::Shared { .. } => unreachable!("shared views refine through the store"),
-        }
-        Ok(())
     }
 
     /// Restores a *fresh* reader to a previously saved [`ReaderProgress`]
     /// by deterministically replaying the recorded fetches through the
     /// reader's fragment source.
     pub fn restore(&mut self, progress: &ReaderProgress) -> Result<()> {
-        let mut state = std::mem::replace(
-            &mut self.state,
-            ReaderState::Snapshots {
-                next: 0,
-                delta: false,
-            },
-        );
-        let result = self.restore_state(&mut state, progress);
-        self.state = state;
-        result
+        let plan = self.plan_restore(progress)?;
+        self.apply(&plan)?;
+        if let ReaderProgress::Snapshots { fetched, .. } = progress {
+            // not derivable from the index: plain PSZ3 may have re-fetched
+            // several snapshots on the way (plan_restore bounded it)
+            self.fetched = *fetched as usize;
+        }
+        Ok(())
     }
 
-    fn restore_state(&mut self, state: &mut ReaderState, progress: &ReaderProgress) -> Result<()> {
-        match (state, progress) {
-            (
-                ReaderState::Snapshots { next, delta },
-                ReaderProgress::Snapshots {
-                    next: want,
-                    fetched,
-                },
-            ) => {
-                let want = *want as usize;
-                if want > self.frags.len() {
-                    return Err(PqrError::InvalidRequest(format!(
-                        "progress wants snapshot {want}, archive has {}",
-                        self.frags.len()
-                    )));
-                }
-                let sz = SzCompressor::new(SzConfig::default());
-                if *delta {
-                    for i in 0..want {
-                        let eb_abs = self.frags[i].eb_abs;
-                        let blob = self.fetch(i as u32)?;
-                        let (part, _) = sz.decompress(&blob)?;
+    /// Consumes `plan` — fragment indices in the consume order
+    /// [`FieldReader::plan_refine_to`] and [`FieldReader::plan_restore`]
+    /// produce — one fragment at a time, so an overlapped prefetch keeps
+    /// landing payloads while earlier ones decode, then rebuilds the
+    /// reconstruction once. An empty plan changes nothing.
+    fn apply(&mut self, plan: &[u32]) -> Result<()> {
+        if plan.is_empty() {
+            return Ok(());
+        }
+        let sz = SzCompressor::new(SzConfig::default());
+        for &index in plan {
+            let bytes = self.fetch(index)?;
+            match &mut self.state {
+                ReaderState::Snapshots { next, delta } => {
+                    let (part, _) = sz.decompress(&bytes)?;
+                    if *delta {
                         for (acc, p) in self.recon.owned_mut().iter_mut().zip(&part) {
                             *acc += p;
                         }
-                        self.bound = eb_abs;
+                    } else {
+                        // plain PSZ3 replaces the reconstruction with the
+                        // adequate snapshot — the cross-snapshot redundancy
+                        // of §V-B
+                        self.recon = Recon::Owned(Arc::new(part));
                     }
-                } else if want > 0 {
-                    let eb_abs = self.frags[want - 1].eb_abs;
-                    let blob = self.fetch((want - 1) as u32)?;
-                    let (recon, _) = sz.decompress(&blob)?;
-                    self.recon = Recon::Owned(Arc::new(recon));
-                    self.bound = eb_abs;
+                    self.bound = self.frags[index as usize].eb_abs;
+                    *next = index as usize + 1;
                 }
-                *next = want;
-                // not derivable from the index: plain PSZ3 may have
-                // re-fetched several snapshots on the way
-                self.fetched = *fetched as usize;
-            }
-            (ReaderState::Mgard { cursor, level_base }, ReaderProgress::Mgard { planes }) => {
-                if planes.len() != cursor.meta().num_levels() {
-                    return Err(PqrError::InvalidRequest(format!(
-                        "progress has {} levels, stream has {}",
-                        planes.len(),
-                        cursor.meta().num_levels()
-                    )));
+                ReaderState::Mgard { cursor, level_base } => {
+                    // the last level starting at or before `index`: a level
+                    // without planes shares its successor's base
+                    let level = level_base.partition_point(|&b| b <= index) - 1;
+                    cursor.push_plane(level, &bytes)?;
                 }
-                for (l, &k) in planes.iter().enumerate() {
-                    if k > cursor.meta().levels()[l].num_planes {
-                        return Err(PqrError::InvalidRequest(format!(
-                            "progress wants {k} planes of level {l}, stream has {}",
-                            cursor.meta().levels()[l].num_planes
-                        )));
-                    }
-                    for p in 0..k {
-                        let bytes = self.fetch(level_base[l] + p)?;
-                        cursor.push_plane(l, &bytes)?;
-                    }
-                }
-                let t0 = std::time::Instant::now();
-                let mut buf = self.take_recon_buf();
-                self.recompose_passes += cursor.reconstruct_into(&mut buf, self.workers);
-                self.reconstruct_nanos += t0.elapsed().as_nanos() as u64;
-                self.recon = Recon::Owned(Arc::new(buf));
-                self.bound = cursor.guaranteed_bound();
-            }
-            (ReaderState::Zfp(cursor), ReaderProgress::Zfp { planes }) => {
-                if *planes > cursor.meta().num_planes() {
-                    return Err(PqrError::InvalidRequest(format!(
-                        "progress wants {planes} planes, archive has {}",
-                        cursor.meta().num_planes()
-                    )));
-                }
-                for p in 0..*planes {
-                    let bytes = self.fetch(1 + p)?;
-                    cursor.push_plane(&bytes)?;
-                }
-                // mirror refine_to: adopt the zfp reconstruction only once
-                // its guarantee beats the zero-vector bound
-                let zb = cursor.guaranteed_bound();
-                if zb <= self.bound {
-                    let t0 = std::time::Instant::now();
-                    let mut buf = self.take_recon_buf();
-                    cursor.reconstruct_into(&mut buf, self.workers);
-                    self.reconstruct_nanos += t0.elapsed().as_nanos() as u64;
-                    self.recon = Recon::Owned(Arc::new(buf));
-                    self.bound = zb;
-                }
-            }
-            (ReaderState::Shared { .. }, _) => {
-                return Err(PqrError::Unsupported(
-                    "store-backed session views do not replay progress; \
-                     open a fresh session on the service instead"
-                        .into(),
-                ))
-            }
-            _ => {
-                return Err(PqrError::InvalidRequest(format!(
-                    "progress marker does not match scheme {}",
-                    self.scheme.name()
-                )))
+                ReaderState::Zfp(cursor) => cursor.push_plane(&bytes)?,
+                ReaderState::Shared { .. } => unreachable!("shared views refine through the store"),
             }
         }
+        self.rebuild();
         Ok(())
+    }
+
+    /// Rebuilds a multilevel or block-transform reconstruction from the
+    /// planes its cursor holds, timing the rebuild and counting recompose
+    /// passes. Snapshot schemes decode straight into their reconstruction
+    /// and have nothing to rebuild.
+    fn rebuild(&mut self) {
+        let bound = match &self.state {
+            ReaderState::Mgard { cursor, .. } => cursor.guaranteed_bound(),
+            // The zfp bound model is conservative: for the first few planes
+            // it can exceed the zero-vector bound max|x| this reader starts
+            // from. Only adopt the zfp reconstruction once its guarantee
+            // beats the current one; the planes stay in the cursor either
+            // way.
+            ReaderState::Zfp(cursor) if cursor.guaranteed_bound() <= self.bound => {
+                cursor.guaranteed_bound()
+            }
+            _ => return,
+        };
+        let t0 = std::time::Instant::now();
+        let mut buf = self.take_recon_buf();
+        if let ReaderState::Mgard { cursor, .. } = &self.state {
+            self.recompose_passes += cursor.reconstruct_into(&mut buf, self.workers);
+        } else if let ReaderState::Zfp(cursor) = &self.state {
+            cursor.reconstruct_into(&mut buf, self.workers);
+        }
+        self.reconstruct_nanos += t0.elapsed().as_nanos() as u64;
+        self.recon = Recon::Owned(Arc::new(buf));
+        self.bound = bound.min(self.bound);
     }
 }
 

@@ -38,7 +38,7 @@
 
 use crate::fragstore::{FragmentId, FragmentSource, FragmentStage, Manifest};
 use crate::pager::{plan_evictions, EvictionCandidate, StoreBudget};
-use crate::refactored::{FieldReader, ReaderProgress, Scheme};
+use crate::refactored::{FieldReader, ReaderProgress};
 use pqr_util::error::{PqrError, Result};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockWriteGuard};
@@ -725,15 +725,10 @@ impl ProgressStore {
         let mut reader = FieldReader::open(Arc::clone(&self.source), &self.manifest, field)?;
         reader.attach_stage(Arc::clone(&self.stage));
         reader.set_workers(pqr_util::par::worker_count());
-        let plan = reader.plan_restore(&d.progress)?;
         // multilevel/transform schemes re-fetch their metadata fragment at
         // open — that is source traffic rehydration caused
-        let mut refetched: u64 = match reader.scheme() {
-            Scheme::PmgardHb | Scheme::PmgardOb | Scheme::Pzfp => {
-                self.manifest.fields[field].fragments[0].len
-            }
-            _ => 0,
-        };
+        let mut refetched = reader.total_fetched() as u64;
+        let plan = reader.plan_restore(&d.progress)?;
         let mut missing: Vec<FragmentId> = Vec::new();
         for &index in &plan {
             let id = FragmentId {
