@@ -4,7 +4,10 @@
 //! (`--bin ablation`, section 1).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use pqr_progressive::fragstore::FragmentSource;
+use pqr_progressive::refactored::{FieldReader, RefactoredField, Scheme};
 use pqr_zfp::{transform, ZfpRefactorer};
+use std::sync::Arc;
 
 fn field(n: usize) -> Vec<f64> {
     (0..n)
@@ -56,7 +59,9 @@ fn bench_refactor(c: &mut Criterion) {
 fn bench_retrieve(c: &mut Criterion) {
     let n = 100_000;
     let data = field(n);
-    let stream = ZfpRefactorer::new().refactor(&data, &[n]).unwrap();
+    let field: Arc<dyn FragmentSource> =
+        Arc::new(RefactoredField::refactor(Scheme::Pzfp, &data, &[n]).unwrap());
+    let manifest = field.manifest().unwrap();
     let mut g = c.benchmark_group("zfp_retrieve");
     g.throughput(Throughput::Bytes((n * 8) as u64));
     g.sample_size(20);
@@ -65,9 +70,9 @@ fn bench_retrieve(c: &mut Criterion) {
             BenchmarkId::new("refine_reconstruct", format!("{eb:.0e}")),
             |b| {
                 b.iter(|| {
-                    let mut r = stream.reader();
+                    let mut r = FieldReader::open(Arc::clone(&field), &manifest, 0).unwrap();
                     r.refine_to(eb).unwrap();
-                    r.reconstruct()
+                    r.share_recon()
                 })
             },
         );

@@ -28,7 +28,7 @@
 
 use pqr_bench::scaled;
 use pqr_mgard::bitplane::{encode_level, encode_level_scalar, LevelDecoder};
-use pqr_mgard::{Basis, MgardRefactorer};
+use pqr_mgard::{Basis, MgardCursor, MgardRefactorer};
 use pqr_progressive::engine::{EngineConfig, QoiSpec, RetrievalEngine};
 use pqr_progressive::field::Dataset;
 use pqr_progressive::fragstore::FileSource;
@@ -215,14 +215,24 @@ fn main() {
     // to pay one full-field recompose over [side, side]
     let side = (scaled(262_144) as f64).sqrt().round() as usize;
     let rdata = coeffs(side * side);
-    let stream = MgardRefactorer::new(Basis::Hierarchical)
+    let (meta, planes) = MgardRefactorer::new(Basis::Hierarchical)
         .refactor(&rdata, &[side, side])
-        .unwrap();
-    let mut mreader = stream.reader();
-    mreader.refine_to(0.0).unwrap(); // fetch every plane: the deepest retrieve
+        .unwrap()
+        .into_parts();
+    // push every plane, level by level in storage order: the deepest retrieve
+    let planes_per_level = meta.planes_per_level();
+    let mut cursor = MgardCursor::new(meta);
+    let mut planes = planes.iter();
+    for (level, &k) in planes_per_level.iter().enumerate() {
+        for _ in 0..k {
+            cursor
+                .push_plane(level, planes.next().expect("plane"))
+                .unwrap();
+        }
+    }
     let mut rbuf = Vec::new();
-    let recon_serial_ms = best_ms(|| mreader.reconstruct_into(&mut rbuf, 1));
-    let recon_par_ms = best_ms(|| mreader.reconstruct_into(&mut rbuf, THREADS));
+    let recon_serial_ms = best_ms(|| cursor.reconstruct_into(&mut rbuf, 1));
+    let recon_par_ms = best_ms(|| cursor.reconstruct_into(&mut rbuf, THREADS));
 
     // memoized repeat round: the first refine decodes and rebuilds (cold);
     // asking for the same bound again must be answered from the cached

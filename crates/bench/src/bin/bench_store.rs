@@ -67,7 +67,7 @@ fn build_archive(path: &std::path::Path) {
     let n = scaled(120_000);
     let mut builder = ArchiveBuilder::new(&[n]);
     for (f, name) in ["Vx", "Vy", "Vz", "P", "T", "rho"].iter().enumerate() {
-        // smooth flow + deterministic broadband noise, as in bench_serve:
+        // smooth flow + deterministic broadband noise:
         // the noise floor keeps deep bitplanes incompressible so tight
         // tolerances carry real decode (and thus real rehydration) work
         let mut s = 0x9e37_79b9_7f4a_7c15u64 ^ (f as u64);

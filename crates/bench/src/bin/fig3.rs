@@ -7,7 +7,7 @@
 //! estimated≫real over-retrieval gap; the HB rows track closely.
 
 use pqr_bench::{ge_small_dataset, primary_bound_series, print_header};
-use pqr_mgard::{Basis, MgardRefactorer};
+use pqr_progressive::refactored::{RefactoredField, Scheme};
 use pqr_util::stats;
 
 fn main() {
@@ -23,15 +23,13 @@ fn main() {
         let data = ds.field(fi);
         let n = data.len();
         let range = stats::value_range(data);
-        for (basis, tag) in [(Basis::Orthogonal, "OB"), (Basis::Hierarchical, "HB")] {
-            let stream = MgardRefactorer::new(basis)
-                .refactor(data, &[n])
-                .expect("refactor");
-            let mut reader = stream.reader();
+        for (scheme, tag) in [(Scheme::PmgardOb, "OB"), (Scheme::PmgardHb, "HB")] {
+            let field = RefactoredField::refactor(scheme, data, &[n]).expect("refactor");
+            let mut reader = field.reader();
             for &rel in &primary_bound_series() {
                 reader.refine_to(rel * range).expect("refine");
                 let est = reader.guaranteed_bound() / range;
-                let real = stats::max_abs_diff(data, &reader.reconstruct()) / range;
+                let real = stats::max_abs_diff(data, reader.data()) / range;
                 println!(
                     "{field_name}\t{tag}\t{:.6e}\t{:.4}\t{:.6e}\t{:.6e}",
                     rel,

@@ -39,7 +39,7 @@ use pqr_util::rle::{
 pub const PLANES: u32 = 60;
 
 /// Encodes one level's coefficients; holds the per-plane segments.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EncodedLevel {
     /// Level exponent: all |c| < 2^exponent. `None` for an all-zero level
     /// (no planes stored at all).

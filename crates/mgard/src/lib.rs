@@ -22,24 +22,34 @@
 //! The decomposition works on arbitrary (non power-of-two) extents in 1–3+
 //! dimensions, dimension by dimension on the dyadic hierarchy. Coefficients
 //! of each level are encoded most-significant-bitplane first
-//! ([`bitplane`]), each plane an independently fetchable segment;
-//! [`retrieve::MgardReader`] fetches planes greedily (largest current error
-//! contribution first) until the modeled L∞ bound meets a request.
+//! ([`bitplane`]), each plane an independently fetchable segment. An
+//! [`MgardCursor`] plans planes greedily (largest current error
+//! contribution first) until the modeled L∞ bound meets a request, and
+//! decodes the plane bytes its owner pushes in from wherever they are
+//! stored.
 //!
 //! ## Example
 //!
 //! ```
-//! use pqr_mgard::{Basis, MgardRefactorer};
+//! use pqr_mgard::{Basis, MgardCursor, MgardRefactorer};
 //!
 //! let data: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.003).sin()).collect();
 //! let refactorer = MgardRefactorer::new(Basis::Hierarchical);
-//! let stream = refactorer.refactor(&data, &[4096]).unwrap();
-//! let mut reader = stream.reader();
-//! reader.refine_to(1e-4).unwrap();
-//! let recon = reader.reconstruct();
+//! let (meta, planes) = refactorer.refactor(&data, &[4096]).unwrap().into_parts();
+//! // planes are stored level-major; `first[l]` indexes level l's first plane
+//! let first: Vec<usize> = meta
+//!     .levels()
+//!     .iter()
+//!     .scan(0, |next, l| Some(std::mem::replace(next, *next + l.num_planes as usize)))
+//!     .collect();
+//! let mut cursor = MgardCursor::new(meta);
+//! for (level, plane) in cursor.plan_to_bound(1e-4) {
+//!     cursor.push_plane(level, &planes[first[level] + plane]).unwrap();
+//! }
+//! let recon = cursor.reconstruct();
 //! let worst = data.iter().zip(&recon).map(|(a, b)| (a - b).abs()).fold(0.0, f64::max);
-//! assert!(worst <= reader.guaranteed_bound());
-//! assert!(reader.guaranteed_bound() <= 1e-4);
+//! assert!(worst <= cursor.guaranteed_bound());
+//! assert!(cursor.guaranteed_bound() <= 1e-4);
 //! ```
 
 pub mod bitplane;
@@ -51,5 +61,5 @@ pub mod retrieve;
 pub mod transform;
 
 pub use refactor::{LevelMeta, MgardMeta, MgardRefactorer, MgardStream};
-pub use retrieve::{MgardCursor, MgardReader};
+pub use retrieve::MgardCursor;
 pub use transform::Basis;

@@ -1,6 +1,6 @@
 //! Progressive retrieval: greedy bitplane fetching under an L∞ target.
 //!
-//! The reader tracks, per level, how many planes it has fetched and the
+//! The cursor tracks, per level, how many planes it has consumed and the
 //! resulting coefficient truncation bound; the guaranteed reconstruction
 //! bound is the basis-specific model of [`crate::error_est`]. A refinement
 //! request fetches one plane at a time from the level whose *current error
@@ -11,7 +11,7 @@
 use crate::bitplane::LevelDecoder;
 use crate::error_est::{level_weight, recon_bound};
 use crate::hierarchy::level_strides;
-use crate::refactor::{MgardMeta, MgardStream};
+use crate::refactor::MgardMeta;
 use crate::transform::{recompose_with_workers, scatter_level, Basis};
 use pqr_util::error::Result;
 
@@ -21,10 +21,10 @@ use pqr_util::error::Result;
 /// sees where the plane payloads live. The owner asks [`MgardCursor::
 /// next_plane`] which `(level, plane)` the greedy schedule wants, fetches
 /// those bytes from wherever the stream is stored (memory, a file range, a
-/// remote store), and pushes them in with [`MgardCursor::push_plane`]. The
-/// borrowing [`MgardReader`] and the fragment-addressed sources in
-/// `pqr-progressive` both drive the same cursor, so the refinement schedule
-/// and the error model cannot drift between local and remote paths.
+/// remote store), and pushes them in with [`MgardCursor::push_plane`].
+/// `pqr-progressive`'s field reader drives this cursor over every fragment
+/// source, so the refinement schedule and the error model are the same on
+/// local and remote paths.
 #[derive(Debug, Clone)]
 pub struct MgardCursor {
     meta: MgardMeta,
@@ -251,151 +251,10 @@ impl MgardCursor {
     }
 }
 
-/// Progressive reader over an [`MgardStream`]: an [`MgardCursor`] whose
-/// plane fetches are served from the borrowed, fully resident stream.
-///
-/// Created via [`MgardStream::reader`]. Byte accounting starts at the
-/// stream's metadata size (a remote retrieval always moves the metadata).
-#[derive(Debug, Clone)]
-pub struct MgardReader<'a> {
-    stream: &'a MgardStream,
-    cursor: MgardCursor,
-    fetched: usize,
-}
-
-impl<'a> MgardReader<'a> {
-    pub(crate) fn new(stream: &'a MgardStream) -> Self {
-        Self {
-            stream,
-            cursor: MgardCursor::new(stream.meta()),
-            fetched: stream.metadata_bytes(),
-        }
-    }
-
-    /// The guaranteed L∞ bound of [`MgardReader::reconstruct`] at the
-    /// current fetch state (the basis-specific model — this is what the QoI
-    /// machinery consumes as the primary-data ε).
-    pub fn guaranteed_bound(&self) -> f64 {
-        self.cursor.guaranteed_bound()
-    }
-
-    /// Total bytes this reader has "moved" (metadata + fetched planes).
-    pub fn total_fetched(&self) -> usize {
-        self.fetched
-    }
-
-    /// True when every plane of every level has been fetched.
-    pub fn fully_fetched(&self) -> bool {
-        self.cursor.fully_fetched()
-    }
-
-    /// Serves the cursor's next wanted plane from the resident stream.
-    /// Returns the plane's byte size, or `None` when exhausted.
-    fn fetch_next(&mut self) -> Result<Option<usize>> {
-        let Some((l, p)) = self.cursor.next_plane() else {
-            return Ok(None);
-        };
-        let seg = &self.stream.levels[l].planes[p];
-        self.cursor.push_plane(l, seg)?;
-        self.fetched += seg.len();
-        Ok(Some(seg.len()))
-    }
-
-    /// Fetches planes (greedy, largest-contribution level first) until the
-    /// guaranteed bound is ≤ `eb` or the stream is exhausted. Returns the
-    /// number of newly fetched bytes.
-    ///
-    /// The request may end with `guaranteed_bound() > eb` only if the stream
-    /// is fully fetched (near-lossless floor) — Definition 1's "or a
-    /// full-fidelity representation is retrieved".
-    pub fn refine_to(&mut self, eb: f64) -> Result<usize> {
-        let mut newly = 0usize;
-        while self.cursor.guaranteed_bound() > eb {
-            match self.fetch_next()? {
-                Some(n) => newly += n,
-                None => break, // exhausted
-            }
-        }
-        Ok(newly)
-    }
-
-    /// Planes consumed so far, per level — the reader's resumable progress
-    /// marker.
-    pub fn planes_read(&self) -> Vec<u32> {
-        self.cursor.planes_read()
-    }
-
-    /// Restores a reader to a previously recorded per-level plane state by
-    /// replaying the stored segments (deterministic: same stream + same
-    /// counts ⇒ identical reconstruction and byte accounting). Must be
-    /// called on a fresh reader.
-    pub fn restore(&mut self, planes_per_level: &[u32]) -> Result<usize> {
-        if planes_per_level.len() != self.stream.levels.len() {
-            return Err(pqr_util::error::PqrError::InvalidRequest(format!(
-                "progress has {} levels, stream has {}",
-                planes_per_level.len(),
-                self.stream.levels.len()
-            )));
-        }
-        let mut newly = 0usize;
-        for (l, &k) in planes_per_level.iter().enumerate() {
-            if k as usize > self.stream.levels[l].planes.len() {
-                return Err(pqr_util::error::PqrError::InvalidRequest(format!(
-                    "progress wants {k} planes of level {l}, stream has {}",
-                    self.stream.levels[l].planes.len()
-                )));
-            }
-            for idx in self.cursor.planes_read()[l] as usize..k as usize {
-                let seg = &self.stream.levels[l].planes[idx];
-                self.cursor.push_plane(l, seg)?;
-                newly += seg.len();
-                self.fetched += seg.len();
-            }
-        }
-        Ok(newly)
-    }
-
-    /// Fetches `k` more planes round-robin-greedily regardless of a target —
-    /// used by benches exploring fixed-budget retrieval.
-    pub fn fetch_planes(&mut self, k: usize) -> Result<usize> {
-        let mut newly = 0usize;
-        for _ in 0..k {
-            match self.fetch_next()? {
-                Some(n) => newly += n,
-                None => break,
-            }
-        }
-        Ok(newly)
-    }
-
-    /// Recomposes the data representation from the planes fetched so far.
-    pub fn reconstruct(&self) -> Vec<f64> {
-        self.cursor.reconstruct()
-    }
-
-    /// [`MgardCursor::reconstruct_into`]: pooled-buffer, `workers`-way
-    /// reconstruction (bit-identical to [`MgardReader::reconstruct`]).
-    /// Returns the number of recompose passes executed.
-    pub fn reconstruct_into(&self, out: &mut Vec<f64>, workers: usize) -> u64 {
-        self.cursor.reconstruct_into(out, workers)
-    }
-
-    /// Progression in **resolution** — see
-    /// [`MgardCursor::reconstruct_at_resolution`].
-    pub fn reconstruct_at_resolution(&self, drop_finest: usize) -> (Vec<f64>, Vec<usize>) {
-        self.cursor.reconstruct_at_resolution(drop_finest)
-    }
-
-    /// The basis of the underlying stream.
-    pub fn basis(&self) -> Basis {
-        self.cursor.basis()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::refactor::MgardRefactorer;
+    use crate::refactor::{MgardRefactorer, MgardStream};
     use pqr_util::stats::max_abs_diff;
 
     fn field(n: usize) -> Vec<f64> {
@@ -407,6 +266,37 @@ mod tests {
             .collect()
     }
 
+    /// Pushes planes of the resident `stream` into `cursor` along the greedy
+    /// schedule until the bound is ≤ `eb`, the stream is exhausted, or
+    /// `budget` planes have been pushed. Returns the plane bytes pushed.
+    fn push_planes(
+        cursor: &mut MgardCursor,
+        stream: &MgardStream,
+        eb: f64,
+        budget: usize,
+    ) -> usize {
+        let mut bytes = 0;
+        for _ in 0..budget {
+            if cursor.guaranteed_bound() <= eb {
+                break;
+            }
+            let Some((l, p)) = cursor.next_plane() else {
+                break;
+            };
+            let plane = &stream.levels[l].planes[p];
+            cursor.push_plane(l, plane).unwrap();
+            bytes += plane.len();
+        }
+        bytes
+    }
+
+    /// A fresh cursor over `stream` refined to `eb`.
+    fn refined(stream: &MgardStream, eb: f64) -> MgardCursor {
+        let mut cursor = MgardCursor::new(stream.meta());
+        push_planes(&mut cursor, stream, eb, usize::MAX);
+        cursor
+    }
+
     #[test]
     fn refine_meets_requested_bounds_and_real_error_below_guarantee() {
         let data = field(2000);
@@ -414,20 +304,20 @@ mod tests {
             let stream = MgardRefactorer::new(basis)
                 .refactor(&data, &[2000])
                 .unwrap();
-            let mut reader = stream.reader();
+            let mut cursor = MgardCursor::new(stream.meta());
             for eb in [1e-1, 1e-3, 1e-5, 1e-8] {
-                reader.refine_to(eb).unwrap();
+                push_planes(&mut cursor, &stream, eb, usize::MAX);
                 assert!(
-                    reader.guaranteed_bound() <= eb,
+                    cursor.guaranteed_bound() <= eb,
                     "{basis:?} eb={eb}: bound {}",
-                    reader.guaranteed_bound()
+                    cursor.guaranteed_bound()
                 );
-                let recon = reader.reconstruct();
+                let recon = cursor.reconstruct();
                 let real = max_abs_diff(&data, &recon);
                 assert!(
-                    real <= reader.guaranteed_bound(),
+                    real <= cursor.guaranteed_bound(),
                     "{basis:?} eb={eb}: real {real} > guarantee {}",
-                    reader.guaranteed_bound()
+                    cursor.guaranteed_bound()
                 );
             }
         }
@@ -437,15 +327,19 @@ mod tests {
     fn progressive_fetching_is_incremental() {
         let data = field(4096);
         let stream = MgardRefactorer::default().refactor(&data, &[4096]).unwrap();
-        let mut reader = stream.reader();
-        let b1 = reader.refine_to(1e-2).unwrap();
-        let t1 = reader.total_fetched();
-        let b2 = reader.refine_to(1e-6).unwrap();
-        let t2 = reader.total_fetched();
+        let mut cursor = MgardCursor::new(stream.meta());
+        let b1 = push_planes(&mut cursor, &stream, 1e-2, usize::MAX);
+        let planes1 = cursor.planes_read();
+        let b2 = push_planes(&mut cursor, &stream, 1e-6, usize::MAX);
         assert!(b1 > 0 && b2 > 0);
-        assert_eq!(t2, t1 + b2, "byte accounting must be cumulative");
+        // a tighter bound only adds planes on top of what is held
+        assert!(cursor
+            .planes_read()
+            .iter()
+            .zip(&planes1)
+            .all(|(now, then)| now >= then));
         // re-requesting an already-satisfied bound fetches nothing
-        assert_eq!(reader.refine_to(1e-4).unwrap(), 0);
+        assert_eq!(push_planes(&mut cursor, &stream, 1e-4, usize::MAX), 0);
     }
 
     #[test]
@@ -459,16 +353,9 @@ mod tests {
         let ob = MgardRefactorer::new(Basis::Orthogonal)
             .refactor(&data, &[4096])
             .unwrap();
-        let mut rh = hb.reader();
-        let mut ro = ob.reader();
-        rh.refine_to(1e-5).unwrap();
-        ro.refine_to(1e-5).unwrap();
-        assert!(
-            rh.total_fetched() < ro.total_fetched(),
-            "HB {} !< OB {}",
-            rh.total_fetched(),
-            ro.total_fetched()
-        );
+        let bh = push_planes(&mut MgardCursor::new(hb.meta()), &hb, 1e-5, usize::MAX);
+        let bo = push_planes(&mut MgardCursor::new(ob.meta()), &ob, 1e-5, usize::MAX);
+        assert!(bh < bo, "HB {bh} !< OB {bo}");
     }
 
     #[test]
@@ -478,10 +365,9 @@ mod tests {
         let stream = MgardRefactorer::new(Basis::Orthogonal)
             .refactor(&data, &[4096])
             .unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(1e-4).unwrap();
-        let real = max_abs_diff(&data, &reader.reconstruct());
-        let est = reader.guaranteed_bound();
+        let cursor = refined(&stream, 1e-4);
+        let real = max_abs_diff(&data, &cursor.reconstruct());
+        let est = cursor.guaranteed_bound();
         assert!(real < est / 5.0, "real {real} vs est {est}: gap too small");
     }
 
@@ -489,31 +375,33 @@ mod tests {
     fn exhausting_the_stream_reaches_near_lossless() {
         let data = field(600);
         let stream = MgardRefactorer::default().refactor(&data, &[600]).unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(0.0).unwrap(); // impossible target → fetch everything
-        assert!(reader.fully_fetched());
-        let real = max_abs_diff(&data, &reader.reconstruct());
+        let cursor = refined(&stream, 0.0); // impossible target → fetch everything
+        assert!(cursor.fully_fetched());
+        let real = max_abs_diff(&data, &cursor.reconstruct());
         let range = 12.0;
         assert!(real < 1e-14 * range, "residual {real}");
     }
 
     #[test]
-    fn initial_state_counts_metadata_only() {
+    fn initial_state_is_metadata_only() {
         let data = field(128);
         let stream = MgardRefactorer::default().refactor(&data, &[128]).unwrap();
-        let reader = stream.reader();
-        assert_eq!(reader.total_fetched(), stream.metadata_bytes());
-        assert!(reader.guaranteed_bound().is_finite());
+        let cursor = MgardCursor::new(stream.meta());
+        assert!(cursor.planes_read().iter().all(|&p| p == 0));
+        assert!(cursor.guaranteed_bound().is_finite());
+        // the root value alone already reconstructs a full-size field
+        assert_eq!(cursor.reconstruct().len(), 128);
     }
 
     #[test]
     fn fetch_planes_budget_mode() {
         let data = field(1024);
         let stream = MgardRefactorer::default().refactor(&data, &[1024]).unwrap();
-        let mut reader = stream.reader();
-        let before = reader.guaranteed_bound();
-        reader.fetch_planes(5).unwrap();
-        assert!(reader.guaranteed_bound() < before);
+        let mut cursor = MgardCursor::new(stream.meta());
+        let before = cursor.guaranteed_bound();
+        push_planes(&mut cursor, &stream, 0.0, 5);
+        assert_eq!(cursor.planes_read().iter().sum::<u32>(), 5);
+        assert!(cursor.guaranteed_bound() < before);
     }
 
     #[test]
@@ -522,31 +410,29 @@ mod tests {
         let stream = MgardRefactorer::new(Basis::Hierarchical)
             .refactor(&data, &[32, 20])
             .unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(1e-4).unwrap();
-        let recon = reader.reconstruct();
+        let cursor = refined(&stream, 1e-4);
+        let recon = cursor.reconstruct();
         let real = max_abs_diff(&data, &recon);
-        assert!(real <= reader.guaranteed_bound());
-        assert!(reader.guaranteed_bound() <= 1e-4);
+        assert!(real <= cursor.guaranteed_bound());
+        assert!(cursor.guaranteed_bound() <= 1e-4);
     }
 
     #[test]
     fn resolution_progression_samples_coarse_grid() {
         let data = field(257);
         let stream = MgardRefactorer::default().refactor(&data, &[257]).unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(1e-10).unwrap();
+        let cursor = refined(&stream, 1e-10);
 
         // drop 0 levels = full resolution
-        let (full, dims0) = reader.reconstruct_at_resolution(0);
+        let (full, dims0) = cursor.reconstruct_at_resolution(0);
         assert_eq!(dims0, vec![257]);
         assert_eq!(full.len(), 257);
-        assert!(max_abs_diff(&data, &full) <= reader.guaranteed_bound());
+        assert!(max_abs_diff(&data, &full) <= cursor.guaranteed_bound());
 
         // drop 3 levels = stride-8 subgrid; values close to the original at
         // those grid points (smooth field ⇒ dropped fine coefficients are
         // small)
-        let (coarse, dims3) = reader.reconstruct_at_resolution(3);
+        let (coarse, dims3) = cursor.reconstruct_at_resolution(3);
         assert_eq!(dims3, vec![33]);
         assert_eq!(coarse.len(), 33);
         let sampled: Vec<f64> = (0..257).step_by(8).map(|i| data[i]).collect();
@@ -561,13 +447,12 @@ mod tests {
         let stream = MgardRefactorer::default()
             .refactor(&data, &[20, 13])
             .unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(1e-8).unwrap();
-        let (coarse, dims) = reader.reconstruct_at_resolution(1);
+        let cursor = refined(&stream, 1e-8);
+        let (coarse, dims) = cursor.reconstruct_at_resolution(1);
         assert_eq!(dims, vec![10, 7]);
         assert_eq!(coarse.len(), 70);
         // spot-check the (2, 4) coarse point == full recon at (4, 8)
-        let full = reader.reconstruct();
+        let full = cursor.reconstruct();
         let c = coarse[2 * 7 + 4];
         let f = full[4 * 13 + 8];
         assert!((c - f).abs() < 0.2, "coarse {c} vs full {f}");
@@ -579,13 +464,12 @@ mod tests {
         let stream = MgardRefactorer::new(Basis::Orthogonal)
             .refactor(&data, &[20_000])
             .unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(1e-6).unwrap();
-        let serial = reader.reconstruct();
+        let cursor = refined(&stream, 1e-6);
+        let serial = cursor.reconstruct();
         // dirty pooled buffer of the wrong size must not leak through
         let mut buf = vec![1.23f64; 7];
         for workers in [1usize, 2, 4] {
-            let passes = reader.reconstruct_into(&mut buf, workers);
+            let passes = cursor.reconstruct_into(&mut buf, workers);
             assert!(passes > 0);
             assert_eq!(buf, serial, "workers={workers}");
         }
@@ -640,17 +524,16 @@ mod tests {
         let data = field(257);
         for basis in [Basis::Hierarchical, Basis::Orthogonal] {
             let stream = MgardRefactorer::new(basis).refactor(&data, &[257]).unwrap();
-            let mut reader = stream.reader();
-            reader.refine_to(1e-8).unwrap();
+            let cursor = refined(&stream, 1e-8);
             for drop in [0usize, 1, 3] {
-                let (coarse, dims) = reader.reconstruct_at_resolution(drop);
-                let (want, want_dims) = resolution_oracle(&reader.cursor, drop);
+                let (coarse, dims) = cursor.reconstruct_at_resolution(drop);
+                let (want, want_dims) = resolution_oracle(&cursor, drop);
                 assert_eq!(dims, want_dims, "{basis:?} drop={drop}");
                 assert_eq!(coarse, want, "{basis:?} drop={drop}");
             }
             // drop=0 equals the plain full reconstruction exactly
-            let (full_view, _) = reader.reconstruct_at_resolution(0);
-            assert_eq!(full_view, reader.reconstruct(), "{basis:?}");
+            let (full_view, _) = cursor.reconstruct_at_resolution(0);
+            assert_eq!(full_view, cursor.reconstruct(), "{basis:?}");
         }
         // and in 2-D, where the subgrid strides differ per axis
         let data2 = field(20 * 13);
@@ -658,11 +541,10 @@ mod tests {
             let stream2 = MgardRefactorer::new(basis)
                 .refactor(&data2, &[20, 13])
                 .unwrap();
-            let mut r2 = stream2.reader();
-            r2.refine_to(1e-8).unwrap();
+            let c2 = refined(&stream2, 1e-8);
             for drop in [1usize, 2] {
-                let (coarse2, dims2) = r2.reconstruct_at_resolution(drop);
-                let (want2, want_dims2) = resolution_oracle(&r2.cursor, drop);
+                let (coarse2, dims2) = c2.reconstruct_at_resolution(drop);
+                let (want2, want_dims2) = resolution_oracle(&c2, drop);
                 assert_eq!(dims2, want_dims2, "{basis:?} drop={drop}");
                 assert_eq!(coarse2, want2, "{basis:?} drop={drop}");
             }
@@ -673,8 +555,8 @@ mod tests {
     fn dropping_all_levels_leaves_root_interpolation() {
         let data = field(64);
         let stream = MgardRefactorer::default().refactor(&data, &[64]).unwrap();
-        let reader = stream.reader();
-        let (coarse, dims) = reader.reconstruct_at_resolution(99);
+        let cursor = MgardCursor::new(stream.meta());
+        let (coarse, dims) = cursor.reconstruct_at_resolution(99);
         assert_eq!(dims, vec![1]);
         assert_eq!(coarse.len(), 1);
     }
@@ -689,9 +571,8 @@ mod tests {
         let mut sizes = Vec::new();
         for i in 1..=20 {
             let eb = 0.1 * (2.0f64).powi(-i);
-            let mut reader = stream.reader();
-            reader.refine_to(eb).unwrap();
-            sizes.push(reader.total_fetched());
+            let mut cursor = MgardCursor::new(stream.meta());
+            sizes.push(push_planes(&mut cursor, &stream, eb, usize::MAX));
         }
         let distinct: std::collections::BTreeSet<_> = sizes.iter().collect();
         assert!(
@@ -709,16 +590,6 @@ mod tests {
         let data = field(600);
         for basis in [Basis::Hierarchical, Basis::Orthogonal] {
             let stream = MgardRefactorer::new(basis).refactor(&data, &[600]).unwrap();
-            // flat plane index of (level, plane) in storage order
-            let level_base: Vec<usize> = {
-                let mut bases = Vec::new();
-                let mut base = 0usize;
-                for lm in stream.meta().levels() {
-                    bases.push(base);
-                    base += lm.num_planes as usize;
-                }
-                bases
-            };
             let mut cursor = MgardCursor::new(stream.meta());
             for eb in [1.0, 1e-2, 1e-5, 1e-9, 0.0] {
                 let plan = cursor.plan_to_bound(eb);
@@ -727,8 +598,7 @@ mod tests {
                     let Some((l, p)) = cursor.next_plane() else {
                         break;
                     };
-                    let bytes = stream.plane(level_base[l] + p).unwrap();
-                    cursor.push_plane(l, bytes).unwrap();
+                    cursor.push_plane(l, &stream.levels[l].planes[p]).unwrap();
                     executed.push((l, p));
                 }
                 assert_eq!(plan, executed, "{basis:?} eb={eb}");

@@ -1,9 +1,9 @@
 //! Property-based tests for the multilevel transform and the progressive
-//! reader: exact invertibility on arbitrary shapes, and the guaranteed
+//! cursor: exact invertibility on arbitrary shapes, and the guaranteed
 //! bound dominating the real reconstruction error at arbitrary fetch depth.
 
 use pqr_mgard::transform::{decompose, decompose_with_workers, recompose, recompose_with_workers};
-use pqr_mgard::{Basis, MgardRefactorer};
+use pqr_mgard::{Basis, MgardCursor, MgardMeta, MgardRefactorer};
 use proptest::prelude::*;
 
 fn arb_basis() -> impl Strategy<Value = Basis> {
@@ -20,6 +20,34 @@ fn data_for(n: usize, seed: u64) -> Vec<f64> {
             (s as f64 / u64::MAX as f64 - 0.5) * 2.0 + ((i as f64) * 0.05).sin() * 3.0
         })
         .collect()
+}
+
+/// Refactors `data` and returns a fresh cursor plus a function that pushes
+/// planes along the greedy schedule until the bound is ≤ `eb` or `budget`
+/// planes have been pushed.
+fn cursor_for(data: &[f64], basis: Basis) -> (MgardCursor, impl Fn(&mut MgardCursor, f64, usize)) {
+    let (meta, planes) = MgardRefactorer::new(basis)
+        .refactor(data, &[data.len()])
+        .unwrap()
+        .into_parts();
+    let mut first = Vec::new();
+    let mut next = 0;
+    for l in meta.levels() {
+        first.push(next);
+        next += l.num_planes as usize;
+    }
+    let push = move |cursor: &mut MgardCursor, eb: f64, budget: usize| {
+        for _ in 0..budget {
+            if cursor.guaranteed_bound() <= eb {
+                break;
+            }
+            let Some((l, p)) = cursor.next_plane() else {
+                break;
+            };
+            cursor.push_plane(l, &planes[first[l] + p]).unwrap();
+        }
+    };
+    (MgardCursor::new(meta), push)
 }
 
 proptest! {
@@ -84,11 +112,10 @@ proptest! {
         eb_exp in -10..-1i32,
     ) {
         let data = data_for(n, seed);
-        let stream = MgardRefactorer::new(basis).refactor(&data, &[n]).unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(10f64.powi(eb_exp)).unwrap();
-        let recon = reader.reconstruct();
-        let bound = reader.guaranteed_bound();
+        let (mut cursor, push) = cursor_for(&data, basis);
+        push(&mut cursor, 10f64.powi(eb_exp), usize::MAX);
+        let recon = cursor.reconstruct();
+        let bound = cursor.guaranteed_bound();
         for (i, (a, b)) in data.iter().zip(&recon).enumerate() {
             prop_assert!(
                 (a - b).abs() <= bound,
@@ -107,31 +134,41 @@ proptest! {
     ) {
         // fetch an arbitrary plane budget instead of a target bound
         let data = data_for(n, seed);
-        let stream = MgardRefactorer::new(basis).refactor(&data, &[n]).unwrap();
-        let mut reader = stream.reader();
-        reader.fetch_planes(planes).unwrap();
-        let recon = reader.reconstruct();
-        let bound = reader.guaranteed_bound();
+        let (mut cursor, push) = cursor_for(&data, basis);
+        push(&mut cursor, 0.0, planes);
+        let recon = cursor.reconstruct();
+        let bound = cursor.guaranteed_bound();
         for (a, b) in data.iter().zip(&recon) {
             prop_assert!((a - b).abs() <= bound);
         }
     }
 
     #[test]
-    fn serialization_roundtrip_any_input(
+    fn metadata_roundtrip_any_input(
         n in 1usize..300,
         basis in arb_basis(),
         seed in 0u64..10_000,
     ) {
         let data = data_for(n, seed);
-        let stream = MgardRefactorer::new(basis).refactor(&data, &[n]).unwrap();
-        let back = pqr_mgard::MgardStream::from_bytes(&stream.to_bytes()).unwrap();
-        let mut r1 = stream.reader();
-        let mut r2 = back.reader();
-        r1.refine_to(1e-6).unwrap();
-        r2.refine_to(1e-6).unwrap();
-        prop_assert_eq!(r1.total_fetched(), r2.total_fetched());
-        prop_assert_eq!(r1.reconstruct(), r2.reconstruct());
+        let meta = MgardRefactorer::new(basis).refactor(&data, &[n]).unwrap().meta();
+        prop_assert_eq!(MgardMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
+    }
+
+    #[test]
+    fn hostile_meta_never_panics(
+        junk in proptest::collection::vec(any::<u8>(), 0..300),
+        cut in 0usize..200,
+    ) {
+        let _ = MgardMeta::from_bytes(&junk);
+        // a valid header followed by junk digs deeper into the parser
+        let meta = MgardRefactorer::default()
+            .refactor(&data_for(64, cut as u64), &[64])
+            .unwrap()
+            .meta()
+            .to_bytes();
+        let mut prefixed = meta[..cut.min(meta.len())].to_vec();
+        prefixed.extend_from_slice(&junk);
+        let _ = MgardMeta::from_bytes(&prefixed);
     }
 
     #[test]
@@ -140,12 +177,11 @@ proptest! {
         seed in 0u64..10_000,
     ) {
         let data = data_for(n, seed);
-        let stream = MgardRefactorer::default().refactor(&data, &[n]).unwrap();
-        let mut reader = stream.reader();
-        let mut last = reader.guaranteed_bound();
+        let (mut cursor, push) = cursor_for(&data, Basis::default());
+        let mut last = cursor.guaranteed_bound();
         for _ in 0..30 {
-            reader.fetch_planes(1).unwrap();
-            let b = reader.guaranteed_bound();
+            push(&mut cursor, 0.0, 1);
+            let b = cursor.guaranteed_bound();
             prop_assert!(b <= last * (1.0 + 1e-12));
             last = b;
         }

@@ -39,13 +39,10 @@
 //! at parse time, not as an allocation bomb or an out-of-range read later.
 
 use crate::mask::ZeroMask;
-use crate::refactored::{Body, RefactoredField, Scheme, Snapshot};
-use pqr_mgard::{MgardMeta, MgardStream};
+use crate::refactored::{read_field_meta, RefactoredField, Scheme, Snapshot};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::cache::LruCache;
 use pqr_util::error::{PqrError, Result};
-use pqr_zfp::{ZfpMeta, ZfpStream};
-use std::borrow::Cow;
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -398,69 +395,32 @@ fn coalesce_ranges(manifest: &Manifest, ids: &[FragmentId]) -> Result<Vec<Coales
 }
 
 // ---------------------------------------------------------------------------
-// Splitting a resident field into fragments
+// Directories of resident fields
 // ---------------------------------------------------------------------------
 
-/// The payloads of one field in fragment-index order, each with its
-/// directory bound (`eb_abs`; `0.0` for non-snapshot fragments). Metadata
-/// fragments are serialized on the fly; plane/blob payloads are borrowed.
-pub(crate) fn field_payloads(field: &RefactoredField) -> Vec<(f64, Cow<'_, [u8]>)> {
-    match &field.body {
-        Body::Snapshots(snaps) => snaps
-            .iter()
-            .map(|s| (s.eb_abs, Cow::from(s.blob.as_slice())))
-            .collect(),
-        Body::Mgard(m) => {
-            let mut v = vec![(0.0, Cow::from(m.meta().to_bytes()))];
-            v.extend(m.plane_payloads().map(|p| (0.0, Cow::from(p))));
-            v
-        }
-        Body::Zfp(z) => {
-            let mut v = vec![(0.0, Cow::from(z.meta().to_bytes()))];
-            v.extend(z.plane_payloads().map(|p| (0.0, Cow::from(p))));
-            v
-        }
-    }
-}
-
-/// One fragment's payload from a resident field, without materialising the
-/// whole payload list — the per-fetch path of the resident sources (the
-/// metadata fragment is serialized on demand; plane/blob fetches are a
-/// single indexed copy).
-pub(crate) fn fetch_field_payload(field: &RefactoredField, index: u32) -> Result<Vec<u8>> {
-    let idx = index as usize;
-    let missing = || PqrError::InvalidRequest(format!("fragment {index} out of range"));
-    match &field.body {
-        Body::Snapshots(snaps) => snaps.get(idx).map(|s| s.blob.clone()).ok_or_else(missing),
-        Body::Mgard(m) => {
-            if idx == 0 {
-                Ok(m.meta().to_bytes())
-            } else {
-                m.plane(idx - 1).map(<[u8]>::to_vec).ok_or_else(missing)
-            }
-        }
-        Body::Zfp(z) => {
-            if idx == 0 {
-                Ok(z.meta().to_bytes())
-            } else {
-                z.plane(idx - 1).map(<[u8]>::to_vec).ok_or_else(missing)
-            }
-        }
-    }
+/// One fragment's payload from a resident field — the per-fetch path of the
+/// resident sources: a single indexed copy.
+pub(crate) fn fetch_field_payload(field: &RefactoredField, index: u32) -> Result<Arc<Vec<u8>>> {
+    field
+        .fragments
+        .get(index as usize)
+        .map(|f| Arc::new(f.blob.clone()))
+        .ok_or_else(|| PqrError::InvalidRequest(format!("fragment {index} out of range")))
 }
 
 /// Builds a field's directory entry with offsets starting at `*offset`
 /// (advanced past the field's payloads).
 fn entry_for(name: &str, field: &RefactoredField, offset: &mut u64) -> FieldEntry {
-    let fragments = field_payloads(field)
+    let fragments = field
+        .fragments
         .iter()
-        .map(|(eb, payload)| {
+        .map(|f| {
             let info = FragmentInfo {
                 offset: *offset,
-                len: payload.len() as u64,
-                eb_abs: *eb,
+                len: f.blob.len() as u64,
+                eb_abs: f.eb_abs,
             };
-            *offset += payload.len() as u64;
+            *offset += info.len;
             info
         })
         .collect();
@@ -625,8 +585,8 @@ pub(crate) fn write_container(
     w.put_u64(mbytes.len() as u64);
     w.put_raw(&mbytes);
     for (_, field) in fields {
-        for (_, payload) in field_payloads(field) {
-            w.put_raw(&payload);
+        for f in &field.fragments {
+            w.put_raw(&f.blob);
         }
     }
     debug_assert_eq!(w.len(), total);
@@ -731,9 +691,8 @@ where
                        field: &RefactoredField|
      -> Result<()> {
         entries.push(entry_for(&names[i], field, offset));
-        for (_, payload) in field_payloads(field) {
-            file.write_all(&payload)
-                .map_err(|e| io("cannot write", e))?;
+        for f in &field.fragments {
+            file.write_all(&f.blob).map_err(|e| io("cannot write", e))?;
         }
         Ok(())
     };
@@ -844,73 +803,42 @@ fn read_preamble(head: &[u8], total_len: u64) -> Result<(usize, u64)> {
 
 /// Rebuilds one resident [`RefactoredField`] by fetching every fragment of
 /// field `i` through `source` — the materialising path (deserialization,
-/// debugging); retrieval paths should refine through readers instead.
+/// debugging); retrieval paths should refine through readers instead. The
+/// directory is validated against the field's metadata first, exactly as a
+/// reader's `open` validates it.
 pub(crate) fn load_field(
     source: &dyn FragmentSource,
     manifest: &Manifest,
     i: usize,
 ) -> Result<RefactoredField> {
     let entry = &manifest.fields[i];
-    let field = i as u32;
-    let nfrag = entry.fragments.len();
-    let fetch = |index: usize| {
-        source.fetch(FragmentId {
-            field,
-            index: index as u32,
+    // the metadata payload, already fetched by the check, is fragment 0
+    let mut meta = read_field_meta(source, manifest, i)?.map(|(_, bytes)| bytes);
+    let fragments = entry
+        .fragments
+        .iter()
+        .enumerate()
+        .map(|(k, info)| {
+            let blob = match meta.take() {
+                Some(bytes) => bytes,
+                None => source.fetch(FragmentId {
+                    field: i as u32,
+                    index: k as u32,
+                })?,
+            };
+            Ok(Snapshot {
+                eb_abs: info.eb_abs,
+                blob: blob.to_vec(),
+            })
         })
-    };
-    let body = match entry.scheme {
-        Scheme::Psz3 | Scheme::Psz3Delta => {
-            let mut snaps = Vec::with_capacity(nfrag);
-            for (k, info) in entry.fragments.iter().enumerate() {
-                snaps.push(Snapshot {
-                    eb_abs: info.eb_abs,
-                    blob: fetch(k)?.to_vec(),
-                });
-            }
-            Body::Snapshots(snaps)
-        }
-        Scheme::PmgardHb | Scheme::PmgardOb => {
-            if nfrag == 0 {
-                return Err(PqrError::CorruptStream("mgard field without meta".into()));
-            }
-            let meta = MgardMeta::from_bytes(&fetch(0)?)?;
-            check_meta_dims(&entry.name, meta.dims(), &manifest.dims)?;
-            let planes: Vec<Vec<u8>> = (1..nfrag)
-                .map(|k| fetch(k).map(|b| b.to_vec()))
-                .collect::<Result<_>>()?;
-            Body::Mgard(MgardStream::from_parts(meta, planes)?)
-        }
-        Scheme::Pzfp => {
-            if nfrag == 0 {
-                return Err(PqrError::CorruptStream("zfp field without meta".into()));
-            }
-            let meta = ZfpMeta::from_bytes(&fetch(0)?)?;
-            check_meta_dims(&entry.name, meta.dims(), &manifest.dims)?;
-            let planes: Vec<Vec<u8>> = (1..nfrag)
-                .map(|k| fetch(k).map(|b| b.to_vec()))
-                .collect::<Result<_>>()?;
-            Body::Zfp(ZfpStream::from_parts(meta, planes)?)
-        }
-    };
+        .collect::<Result<_>>()?;
     Ok(RefactoredField {
         scheme: entry.scheme,
         dims: manifest.dims.clone(),
         range: entry.range,
         max_abs: entry.max_abs,
-        body,
+        fragments,
     })
-}
-
-/// A field's embedded metadata must agree with the manifest shape —
-/// readers trust the manifest's element count for their buffers.
-fn check_meta_dims(name: &str, meta_dims: &[usize], manifest_dims: &[usize]) -> Result<()> {
-    if meta_dims != manifest_dims {
-        return Err(PqrError::ShapeMismatch(format!(
-            "field '{name}' metadata shape {meta_dims:?} disagrees with manifest {manifest_dims:?}"
-        )));
-    }
-    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -1430,10 +1358,23 @@ mod tests {
         // but a manifest lying about the shape must fail load_field
         let bytes = archive_bytes(Scheme::PmgardHb);
         let src = InMemorySource::new(bytes).unwrap();
-        let mut m = src.manifest().unwrap();
+        let m = src.manifest().unwrap();
         assert!(load_field(&src, &m, 0).is_ok());
-        m.dims = vec![999];
-        assert!(load_field(&src, &m, 0).is_err());
+        let mut wrong_shape = m.clone();
+        wrong_shape.dims = vec![999];
+        assert!(load_field(&src, &wrong_shape, 0).is_err());
+        // ...and so must a directory miscounting the metadata's planes
+        for scheme in [Scheme::PmgardHb, Scheme::Pzfp] {
+            let src = InMemorySource::new(archive_bytes(scheme)).unwrap();
+            let mut miscounted = src.manifest().unwrap();
+            assert!(load_field(&src, &miscounted, 0).is_ok());
+            miscounted.fields[0].fragments.pop();
+            assert!(
+                load_field(&src, &miscounted, 0).is_err(),
+                "{}",
+                scheme.name()
+            );
+        }
     }
 
     #[test]

@@ -13,13 +13,13 @@
 //! recompose incrementally as more fragments arrive.
 
 use crate::fragstore::{self, FragmentId, FragmentInfo, FragmentSource, FragmentStage, Manifest};
-use pqr_mgard::{Basis, MgardCursor, MgardMeta, MgardRefactorer, MgardStream};
+use pqr_mgard::{Basis, MgardCursor, MgardMeta, MgardRefactorer};
 use pqr_sz::{SzCompressor, SzConfig};
 use pqr_util::byteio::{ByteReader, ByteWriter};
 use pqr_util::error::{PqrError, Result};
 use pqr_util::par::par_dynamic;
 use pqr_util::stats;
-use pqr_zfp::{ZfpCursor, ZfpMeta, ZfpRefactorer, ZfpStream};
+use pqr_zfp::{ZfpCursor, ZfpMeta, ZfpRefactorer};
 use std::sync::Arc;
 
 /// Which progressive representation to refactor into.
@@ -105,10 +105,13 @@ pub fn default_snapshot_bounds() -> Vec<f64> {
     (1..=18).map(|i| 10f64.powi(-i)).collect()
 }
 
-/// One stored snapshot of a snapshot-based scheme.
+/// One stored fragment: a snapshot blob of a snapshot-based scheme, or the
+/// metadata or one plane of a multilevel/transform scheme.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    /// Absolute L∞ bound this snapshot guarantees (cumulatively, for delta).
+    /// Absolute L∞ bound this snapshot guarantees (cumulatively, for delta);
+    /// `0.0` for metadata and plane fragments, whose bounds come from the
+    /// decode model instead.
     pub eb_abs: f64,
     /// Compressed payload.
     pub blob: Vec<u8>,
@@ -123,14 +126,18 @@ pub struct RefactoredField {
     pub(crate) range: f64,
     /// `max |x|` of the original data (initial zero-vector error bound).
     pub(crate) max_abs: f64,
-    pub(crate) body: Body,
+    /// The field's fragments in directory order (see [`crate::fragstore`]
+    /// for the layout per scheme).
+    pub(crate) fragments: Vec<Snapshot>,
 }
 
-#[derive(Debug, Clone)]
-pub(crate) enum Body {
-    Snapshots(Vec<Snapshot>),
-    Mgard(MgardStream),
-    Zfp(ZfpStream),
+/// A plane scheme's directory: the metadata fragment, then the planes in
+/// the order the cursor consumes them. The plane buffers move, uncopied.
+fn plane_fragments(meta: Vec<u8>, planes: Vec<Vec<u8>>) -> Vec<Snapshot> {
+    std::iter::once(meta)
+        .chain(planes)
+        .map(|blob| Snapshot { eb_abs: 0.0, blob })
+        .collect()
 }
 
 impl RefactoredField {
@@ -179,19 +186,18 @@ impl RefactoredField {
         // Degenerate (constant/empty) data still needs a usable ladder.
         let scale = if range > 0.0 { range } else { 1.0 };
 
-        let body = match scheme {
+        let fragments = match scheme {
             Scheme::Psz3 => {
                 // independent snapshots: each bound compresses the original
                 // data, so the 18-compression ladder parallelises freely
-                let snaps = par_dynamic(rel_bounds.len(), workers, |k| {
+                par_dynamic(rel_bounds.len(), workers, |k| {
                     let sz = SzCompressor::new(SzConfig::default());
                     let eb = rel_bounds[k] * scale;
                     sz.compress(data, dims, eb)
                         .map(|blob| Snapshot { eb_abs: eb, blob })
                 })
                 .into_iter()
-                .collect::<Result<Vec<_>>>()?;
-                Body::Snapshots(snaps)
+                .collect::<Result<Vec<_>>>()?
             }
             Scheme::Psz3Delta => {
                 // snapshot i compresses the residual of snapshots 1..i−1:
@@ -208,18 +214,24 @@ impl RefactoredField {
                     }
                     snaps.push(Snapshot { eb_abs: eb, blob });
                 }
-                Body::Snapshots(snaps)
+                snaps
             }
-            Scheme::PmgardHb => Body::Mgard(
-                MgardRefactorer::new(Basis::Hierarchical)
-                    .refactor_with_workers(data, dims, workers)?,
-            ),
-            Scheme::PmgardOb => Body::Mgard(
-                MgardRefactorer::new(Basis::Orthogonal)
-                    .refactor_with_workers(data, dims, workers)?,
-            ),
+            Scheme::PmgardHb | Scheme::PmgardOb => {
+                let basis = if scheme == Scheme::PmgardHb {
+                    Basis::Hierarchical
+                } else {
+                    Basis::Orthogonal
+                };
+                let (meta, planes) = MgardRefactorer::new(basis)
+                    .refactor_with_workers(data, dims, workers)?
+                    .into_parts();
+                plane_fragments(meta.to_bytes(), planes)
+            }
             Scheme::Pzfp => {
-                Body::Zfp(ZfpRefactorer::new().refactor_with_workers(data, dims, workers)?)
+                let (meta, planes) = ZfpRefactorer::new()
+                    .refactor_with_workers(data, dims, workers)?
+                    .into_parts();
+                plane_fragments(meta.to_bytes(), planes)
             }
         };
         Ok(Self {
@@ -227,7 +239,7 @@ impl RefactoredField {
             dims: dims.to_vec(),
             range,
             max_abs,
-            body,
+            fragments,
         })
     }
 
@@ -261,13 +273,10 @@ impl RefactoredField {
         self.max_abs
     }
 
-    /// Total archived bytes.
+    /// Total archived bytes: the sum of the field's fragment payloads, as
+    /// the archive directory records them.
     pub fn total_bytes(&self) -> usize {
-        match &self.body {
-            Body::Snapshots(s) => s.iter().map(|x| x.blob.len()).sum(),
-            Body::Mgard(m) => m.total_bytes(),
-            Body::Zfp(z) => z.total_bytes(),
-        }
+        self.fragments.iter().map(|f| f.blob.len()).sum()
     }
 
     /// Opens a progressive reader at zero fetched fragments, served from
@@ -311,24 +320,6 @@ impl RefactoredField {
             )));
         }
         fragstore::load_field(&src, &manifest, 0)
-    }
-
-    /// Sizes of the individually fetchable fragments, in storage order — the
-    /// transfer simulator uses this to model per-segment movement.
-    pub fn fragment_sizes(&self) -> Vec<usize> {
-        match &self.body {
-            Body::Snapshots(s) => s.iter().map(|x| x.blob.len()).collect(),
-            Body::Mgard(m) => {
-                let mut v = vec![m.metadata_bytes()];
-                v.extend(m.segment_sizes());
-                v
-            }
-            Body::Zfp(z) => {
-                let mut v = vec![z.metadata_bytes()];
-                v.extend(z.segment_sizes());
-                v
-            }
-        }
     }
 }
 
@@ -547,22 +538,8 @@ impl FieldReader {
             ))
         })?;
         let n = manifest.num_elements();
-        let frags = entry.fragments.clone();
-        let fid = field as u32;
-        let fetch_meta = || {
-            if frags.is_empty() {
-                return Err(PqrError::CorruptStream(format!(
-                    "{} field without a metadata fragment",
-                    entry.scheme.name()
-                )));
-            }
-            source.fetch(FragmentId {
-                field: fid,
-                index: 0,
-            })
-        };
-        let (state, recon, bound, fetched) = match entry.scheme {
-            Scheme::Psz3 | Scheme::Psz3Delta => (
+        let (state, recon, bound, fetched) = match read_field_meta(&*source, manifest, field)? {
+            None => (
                 ReaderState::Snapshots {
                     next: 0,
                     delta: entry.scheme == Scheme::Psz3Delta,
@@ -571,23 +548,7 @@ impl FieldReader {
                 entry.max_abs,
                 0,
             ),
-            Scheme::PmgardHb | Scheme::PmgardOb => {
-                let meta_bytes = fetch_meta()?;
-                let meta = MgardMeta::from_bytes(&meta_bytes)?;
-                if meta.dims() != manifest.dims {
-                    return Err(PqrError::ShapeMismatch(format!(
-                        "field metadata shape {:?} != archive {:?}",
-                        meta.dims(),
-                        manifest.dims
-                    )));
-                }
-                if frags.len() != 1 + meta.total_planes() {
-                    return Err(PqrError::CorruptStream(format!(
-                        "directory has {} fragments, metadata implies {}",
-                        frags.len(),
-                        1 + meta.total_planes()
-                    )));
-                }
+            Some((PlaneMeta::Mgard(meta), meta_bytes)) => {
                 let mut level_base = Vec::with_capacity(meta.num_levels());
                 let mut base = 1u32;
                 for lm in meta.levels() {
@@ -596,44 +557,31 @@ impl FieldReader {
                 }
                 let cursor = MgardCursor::new(meta);
                 let bound = cursor.guaranteed_bound();
-                let fetched = meta_bytes.len();
                 (
                     ReaderState::Mgard { cursor, level_base },
                     Vec::new(),
                     bound,
-                    fetched,
+                    meta_bytes.len(),
                 )
             }
-            Scheme::Pzfp => {
-                let meta_bytes = fetch_meta()?;
-                let meta = ZfpMeta::from_bytes(&meta_bytes)?;
-                if meta.dims() != manifest.dims {
-                    return Err(PqrError::ShapeMismatch(format!(
-                        "field metadata shape {:?} != archive {:?}",
-                        meta.dims(),
-                        manifest.dims
-                    )));
-                }
-                if frags.len() != 1 + meta.num_planes() as usize {
-                    return Err(PqrError::CorruptStream(format!(
-                        "directory has {} fragments, metadata implies {}",
-                        frags.len(),
-                        1 + meta.num_planes()
-                    )));
-                }
+            Some((PlaneMeta::Zfp(meta), meta_bytes)) => {
                 let cursor = ZfpCursor::new(meta);
                 // the zfp bound model can exceed max|x| before any plane
                 // arrives; the zero-vector bound is the better of the two
                 let bound = cursor.guaranteed_bound().min(entry.max_abs);
-                let fetched = meta_bytes.len();
-                (ReaderState::Zfp(cursor), vec![0.0; n], bound, fetched)
+                (
+                    ReaderState::Zfp(cursor),
+                    vec![0.0; n],
+                    bound,
+                    meta_bytes.len(),
+                )
             }
         };
         let mut reader = Self {
             source,
-            field: fid,
+            field: field as u32,
             scheme: entry.scheme,
-            frags,
+            frags: entry.fragments.clone(),
             stage: None,
             recon: Recon::Owned(Arc::new(recon)),
             bound,
@@ -1182,6 +1130,68 @@ impl FieldReader {
     }
 }
 
+/// The parsed metadata fragment of a multilevel or block-transform field.
+pub(crate) enum PlaneMeta {
+    Mgard(MgardMeta),
+    Zfp(ZfpMeta),
+}
+
+/// Fetches and validates field `field`'s metadata against its directory —
+/// the one check readers and the materialising path share. A plane scheme's
+/// fragment 0 must exist and parse, its shape must equal the manifest's
+/// (readers size their buffers from the manifest), and the directory must
+/// hold exactly `1 + planes` fragments (readers address planes through it).
+/// Returns the metadata with its fetched payload, or `None` for the
+/// snapshot schemes, whose directory has no metadata fragment.
+pub(crate) fn read_field_meta(
+    source: &dyn FragmentSource,
+    manifest: &Manifest,
+    field: usize,
+) -> Result<Option<(PlaneMeta, Arc<Vec<u8>>)>> {
+    let entry = &manifest.fields[field];
+    if matches!(entry.scheme, Scheme::Psz3 | Scheme::Psz3Delta) {
+        return Ok(None);
+    }
+    if entry.fragments.is_empty() {
+        return Err(PqrError::CorruptStream(format!(
+            "{} field '{}' without a metadata fragment",
+            entry.scheme.name(),
+            entry.name
+        )));
+    }
+    let bytes = source.fetch(FragmentId {
+        field: field as u32,
+        index: 0,
+    })?;
+    let check = |dims: &[usize], planes: usize| {
+        if dims != manifest.dims {
+            return Err(PqrError::ShapeMismatch(format!(
+                "field '{}' metadata shape {dims:?} disagrees with manifest {:?}",
+                entry.name, manifest.dims
+            )));
+        }
+        if entry.fragments.len() != 1 + planes {
+            return Err(PqrError::CorruptStream(format!(
+                "field '{}' directory has {} fragments, metadata implies {}",
+                entry.name,
+                entry.fragments.len(),
+                1 + planes
+            )));
+        }
+        Ok(())
+    };
+    let meta = if entry.scheme == Scheme::Pzfp {
+        let meta = ZfpMeta::from_bytes(&bytes)?;
+        check(meta.dims(), meta.num_planes() as usize)?;
+        PlaneMeta::Zfp(meta)
+    } else {
+        let meta = MgardMeta::from_bytes(&bytes)?;
+        check(meta.dims(), meta.total_planes())?;
+        PlaneMeta::Mgard(meta)
+    };
+    Ok(Some((meta, bytes)))
+}
+
 impl FragmentSource for RefactoredField {
     fn manifest(&self) -> Result<Manifest> {
         Ok(fragstore::build_manifest(
@@ -1200,7 +1210,7 @@ impl FragmentSource for RefactoredField {
                 id.field
             )));
         }
-        Ok(Arc::new(fragstore::fetch_field_payload(self, id.index)?))
+        fragstore::fetch_field_payload(self, id.index)
     }
 }
 
@@ -1308,11 +1318,7 @@ mod tests {
         let mut reader = rf.reader();
         reader.refine_to(1e-4 * range).unwrap();
         // exactly the 1e-4 snapshot's bytes
-        if let Body::Snapshots(snaps) = &rf.body {
-            assert_eq!(reader.total_fetched(), snaps[3].blob.len());
-        } else {
-            panic!("wrong body");
-        }
+        assert_eq!(reader.total_fetched(), rf.fragments[3].blob.len());
     }
 
     #[test]
@@ -1365,6 +1371,35 @@ mod tests {
             b.refine_to(1e-4 * range).unwrap();
             assert_eq!(a.data(), b.data());
             assert_eq!(a.total_fetched(), b.total_fetched());
+        }
+    }
+
+    #[test]
+    fn total_bytes_is_what_the_archive_stores_and_a_full_fetch_moves() {
+        let data = field_data(64 * 64);
+        for scheme in Scheme::extended() {
+            let rf =
+                RefactoredField::refactor_with_bounds(scheme, &data, &[64, 64], &bounds_short())
+                    .unwrap();
+            let src = fragstore::InMemorySource::new(rf.to_bytes()).unwrap();
+            let stored: u64 = src.manifest().unwrap().fields[0]
+                .fragments
+                .iter()
+                .map(|f| f.len)
+                .sum();
+            assert_eq!(rf.total_bytes() as u64, stored, "{}", scheme.name());
+            // refining to the floor moves every fragment exactly once, except
+            // under plain PSZ3, which fetches one adequate snapshot
+            if scheme != Scheme::Psz3 {
+                let mut reader = rf.reader();
+                reader.refine_to(0.0).unwrap();
+                assert_eq!(
+                    reader.total_fetched(),
+                    rf.total_bytes(),
+                    "{}",
+                    scheme.name()
+                );
+            }
         }
     }
 

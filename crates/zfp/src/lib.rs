@@ -19,23 +19,30 @@
 //!   (one plane ≈ one bit of precision per sample), same per-block-exponent
 //!   adaptivity; absolute ratios differ from real ZFP, shapes do not.
 //!
-//! The [`ZfpStream`]/[`ZfpReader`] pair mirrors the MGARD substrate's
-//! stream/reader contract, so `pqr-progressive` exposes it as just another
-//! [`Scheme`] behind the engine.
+//! A [`ZfpStream`] splits into metadata ([`ZfpMeta`]) and plane payloads,
+//! and a [`ZfpCursor`] decodes the planes pushed into it — the same
+//! metadata/cursor contract as the MGARD substrate, so `pqr-progressive`
+//! exposes it as just another [`Scheme`] behind the engine.
 //!
 //! [`Scheme`]: https://docs.rs/pqr-progressive
 //!
 //! ## Quick example
 //!
 //! ```
-//! use pqr_zfp::ZfpRefactorer;
+//! use pqr_zfp::{ZfpCursor, ZfpRefactorer};
 //!
 //! let data: Vec<f64> = (0..4096).map(|i| (i as f64 * 0.01).sin()).collect();
-//! let stream = ZfpRefactorer::new().refactor(&data, &[4096]).unwrap();
-//! let mut reader = stream.reader();
-//! reader.refine_to(1e-4).unwrap();
-//! assert!(reader.guaranteed_bound() <= 1e-4);
-//! let approx = reader.reconstruct();
+//! let (meta, planes) = ZfpRefactorer::new().refactor(&data, &[4096]).unwrap().into_parts();
+//! let mut cursor = ZfpCursor::new(meta);
+//! // planes arrive most significant first; stop once the bound is met
+//! for plane in &planes {
+//!     if cursor.guaranteed_bound() <= 1e-4 {
+//!         break;
+//!     }
+//!     cursor.push_plane(plane).unwrap();
+//! }
+//! assert!(cursor.guaranteed_bound() <= 1e-4);
+//! let approx = cursor.reconstruct();
 //! assert_eq!(approx.len(), data.len());
 //! ```
 
@@ -44,4 +51,4 @@ pub mod negabinary;
 pub mod stream;
 pub mod transform;
 
-pub use stream::{ZfpCursor, ZfpMeta, ZfpReader, ZfpRefactorer, ZfpStream, MAX_TOTAL_PLANES, Q};
+pub use stream::{ZfpCursor, ZfpMeta, ZfpRefactorer, ZfpStream, MAX_TOTAL_PLANES, Q};

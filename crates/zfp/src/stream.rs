@@ -65,8 +65,11 @@ fn exp2(e: i32) -> f64 {
     f64::from(e).exp2()
 }
 
-/// A refactored ZFP-style progressive stream (archive-side artifact).
-#[derive(Debug, Clone)]
+/// A refactored ZFP-style progressive stream: the refactorer's output,
+/// split once into its metadata ([`ZfpStream::meta`]) and plane payloads
+/// ([`ZfpStream::into_parts`]); a [`ZfpCursor`] decodes the planes as they
+/// are pushed in from wherever they are stored.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ZfpStream {
     dims: Vec<usize>,
     /// Per-block alignment exponents ([`EMPTY`] for all-zero blocks).
@@ -440,27 +443,6 @@ pub struct ZfpMeta {
     num_planes: u32,
 }
 
-/// The shared error model: guaranteed L∞ bound after `k` fetched planes.
-fn bound_after_impl(
-    nd: usize,
-    num_planes: u32,
-    capped: bool,
-    max_e: i32,
-    a_max: i32,
-    k: u32,
-) -> f64 {
-    if num_planes == 0 {
-        return 0.0; // all-zero field
-    }
-    let rounding = 0.5 * exp2(max_e - Q);
-    if !capped && k >= num_planes {
-        // every digit fetched ⇒ integer-exact coefficients
-        return rounding * (1.0 + 1e-12);
-    }
-    let trunc = recon_error_factor(nd) * exp2(a_max + 1 - k.min(num_planes) as i32);
-    (trunc + 1.5 * rounding) * (1.0 + 1e-12)
-}
-
 impl ZfpMeta {
     /// Array shape.
     pub fn dims(&self) -> &[usize] {
@@ -472,16 +454,20 @@ impl ZfpMeta {
         self.num_planes
     }
 
-    /// The guaranteed L∞ bound after `k` fetched planes.
+    /// The guaranteed L∞ bound after `k` fetched planes — the model the
+    /// retrieval engine consumes as the primary-data ε.
     pub fn bound_after(&self, k: u32) -> f64 {
-        bound_after_impl(
-            self.dims.len(),
-            self.num_planes,
-            self.capped,
-            self.max_e,
-            self.a_max,
-            k,
-        )
+        if self.num_planes == 0 {
+            return 0.0; // all-zero field
+        }
+        let rounding = 0.5 * exp2(self.max_e - Q);
+        if !self.capped && k >= self.num_planes {
+            // every digit fetched ⇒ integer-exact coefficients
+            return rounding * (1.0 + 1e-12);
+        }
+        let trunc = recon_error_factor(self.dims.len())
+            * exp2(self.a_max + 1 - k.min(self.num_planes) as i32);
+        (trunc + 1.5 * rounding) * (1.0 + 1e-12)
     }
 
     /// Serializes the metadata (the field's always-fetched fragment).
@@ -496,19 +482,69 @@ impl ZfpMeta {
         w.put_i64(i64::from(self.a_max));
         w.put_u32(self.coeff_bits);
         w.put_u8(u8::from(self.capped));
-        w.put_bytes(&encode_exponent_table(&self.exponents));
+        // Exponents as delta-coded i16: neighbouring blocks of smooth data
+        // share exponents, so the delta stream is mostly zero bytes and the
+        // byte-RLE collapses the table to a few bytes per long run — the
+        // per-block metadata tax matters for 1-D data (one block per 4
+        // samples).
+        let mut eb = Vec::with_capacity(self.exponents.len() * 2);
+        let mut prev = 0i16;
+        for &e in &self.exponents {
+            let cur = exponent_to_i16(e);
+            eb.extend_from_slice(&cur.wrapping_sub(prev).to_le_bytes());
+            prev = cur;
+        }
+        w.put_bytes(&rle::encode_bytes(&eb));
         w.put_u32(self.num_planes);
         w.finish()
     }
 
-    /// Deserializes metadata, enforcing the same structural invariants as
-    /// [`ZfpStream::from_bytes`].
+    /// Deserializes metadata, validating its structural invariants: dims,
+    /// the digit width, the exponent-table length and the plane count.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
         let mut r = ByteReader::new(bytes);
         if r.get_raw(4)? != b"PQZM" {
             return Err(PqrError::CorruptStream("bad zfp meta magic".into()));
         }
-        let (dims, max_e, a_max, coeff_bits, capped, exponents) = read_header(&mut r)?;
+        let nd = r.get_u8()? as usize;
+        if !(1..=3).contains(&nd) {
+            return Err(PqrError::CorruptStream(format!("zfp ndims {nd}")));
+        }
+        let mut dims = Vec::with_capacity(nd);
+        for _ in 0..nd {
+            dims.push(r.get_u64()? as usize);
+        }
+        let max_e = i32::try_from(r.get_i64()?)
+            .map_err(|_| PqrError::CorruptStream("max_e out of range".into()))?;
+        let a_max = i32::try_from(r.get_i64()?)
+            .map_err(|_| PqrError::CorruptStream("a_max out of range".into()))?;
+        let coeff_bits = r.get_u32()?;
+        if coeff_bits == 0 || coeff_bits > 64 {
+            return Err(PqrError::CorruptStream(format!("coeff_bits {coeff_bits}")));
+        }
+        let capped = r.get_u8()? != 0;
+        // Hostile dims must not overflow the block/element products (the
+        // exponent-table length check below bounds the real size, but only
+        // if `num_blocks * 2` itself cannot panic first).
+        pqr_util::byteio::check_dims(&dims)?;
+        let grid = BlockGrid::new(&dims);
+        let eb = rle::decode_bytes(r.get_bytes()?)?;
+        if eb.len() != grid.num_blocks() * 2 {
+            return Err(PqrError::CorruptStream(format!(
+                "exponent table {} B for {} blocks",
+                eb.len(),
+                grid.num_blocks()
+            )));
+        }
+        let mut prev = 0i16;
+        let exponents: Vec<i32> = eb
+            .chunks_exact(2)
+            .map(|c| {
+                let d = i16::from_le_bytes(c.try_into().unwrap());
+                prev = prev.wrapping_add(d);
+                exponent_from_i16(prev)
+            })
+            .collect();
         let num_planes = r.get_u32()?;
         if num_planes > MAX_TOTAL_PLANES {
             return Err(PqrError::CorruptStream(format!("{num_planes} planes")));
@@ -526,65 +562,6 @@ impl ZfpMeta {
             num_planes,
         })
     }
-}
-
-/// Delta-codes + RLE-compresses the per-block exponent table (see
-/// [`ZfpStream::to_bytes`] for why the deltas compress well).
-fn encode_exponent_table(exponents: &[i32]) -> Vec<u8> {
-    let mut eb = Vec::with_capacity(exponents.len() * 2);
-    let mut prev = 0i16;
-    for &e in exponents {
-        let cur = exponent_to_i16(e);
-        eb.extend_from_slice(&cur.wrapping_sub(prev).to_le_bytes());
-        prev = cur;
-    }
-    rle::encode_bytes(&eb)
-}
-
-/// Reads the shared zfp header body (everything between the magic and the
-/// plane section), validating dims and the exponent table length.
-type HeaderParts = (Vec<usize>, i32, i32, u32, bool, Vec<i32>);
-fn read_header(r: &mut ByteReader<'_>) -> Result<HeaderParts> {
-    let nd = r.get_u8()? as usize;
-    if !(1..=3).contains(&nd) {
-        return Err(PqrError::CorruptStream(format!("zfp ndims {nd}")));
-    }
-    let mut dims = Vec::with_capacity(nd);
-    for _ in 0..nd {
-        dims.push(r.get_u64()? as usize);
-    }
-    let max_e = i32::try_from(r.get_i64()?)
-        .map_err(|_| PqrError::CorruptStream("max_e out of range".into()))?;
-    let a_max = i32::try_from(r.get_i64()?)
-        .map_err(|_| PqrError::CorruptStream("a_max out of range".into()))?;
-    let coeff_bits = r.get_u32()?;
-    if coeff_bits == 0 || coeff_bits > 64 {
-        return Err(PqrError::CorruptStream(format!("coeff_bits {coeff_bits}")));
-    }
-    let capped = r.get_u8()? != 0;
-    // Hostile dims must not overflow the block/element products (the
-    // exponent-table length check below bounds the real size, but only
-    // if `num_blocks * 2` itself cannot panic first).
-    pqr_util::byteio::check_dims(&dims)?;
-    let grid = BlockGrid::new(&dims);
-    let eb = rle::decode_bytes(r.get_bytes()?)?;
-    if eb.len() != grid.num_blocks() * 2 {
-        return Err(PqrError::CorruptStream(format!(
-            "exponent table {} B for {} blocks",
-            eb.len(),
-            grid.num_blocks()
-        )));
-    }
-    let mut prev = 0i16;
-    let exponents: Vec<i32> = eb
-        .chunks_exact(2)
-        .map(|c| {
-            let d = i16::from_le_bytes(c.try_into().unwrap());
-            prev = prev.wrapping_add(d);
-            exponent_from_i16(prev)
-        })
-        .collect();
-    Ok((dims, max_e, a_max, coeff_bits, capped, exponents))
 }
 
 impl ZfpStream {
@@ -606,130 +583,21 @@ impl ZfpStream {
         }
     }
 
-    /// Reassembles a stream from metadata plus the plane payloads in fetch
-    /// order — the inverse of splitting a stream into fragments.
-    pub fn from_parts(meta: ZfpMeta, planes: Vec<Vec<u8>>) -> Result<Self> {
-        if planes.len() != meta.num_planes as usize {
-            return Err(PqrError::CorruptStream(format!(
-                "{} plane payloads for metadata declaring {}",
-                planes.len(),
-                meta.num_planes
-            )));
-        }
-        Ok(Self {
-            dims: meta.dims,
-            exponents: meta.exponents,
-            max_e: meta.max_e,
-            a_max: meta.a_max,
-            coeff_bits: meta.coeff_bits,
-            capped: meta.capped,
-            planes,
-        })
-    }
-
     /// Number of stored plane segments.
     pub fn num_planes(&self) -> usize {
         self.planes.len()
     }
 
-    /// Sizes of the individually fetchable plane segments, in fetch order.
-    pub fn segment_sizes(&self) -> Vec<usize> {
-        self.planes.iter().map(Vec::len).collect()
-    }
-
     /// The plane payloads in fetch order — the order
-    /// [`ZfpStream::from_parts`] reassembles.
+    /// [`ZfpStream::into_parts`] returns.
     pub fn plane_payloads(&self) -> impl Iterator<Item = &[u8]> {
         self.planes.iter().map(Vec::as_slice)
     }
 
-    /// The `i`-th plane payload in fetch order, addressed in O(1).
-    pub fn plane(&self, i: usize) -> Option<&[u8]> {
-        self.planes.get(i).map(Vec::as_slice)
-    }
-
-    /// Serialized metadata size: everything a reader must hold before the
-    /// first plane arrives (header + per-block exponents).
-    pub fn metadata_bytes(&self) -> usize {
-        self.to_bytes().len() - self.planes.iter().map(Vec::len).sum::<usize>()
-    }
-
-    /// Total archived bytes.
-    pub fn total_bytes(&self) -> usize {
-        self.to_bytes().len()
-    }
-
-    /// Opens a progressive reader at zero fetched planes.
-    pub fn reader(&self) -> ZfpReader<'_> {
-        ZfpReader {
-            stream: self,
-            cursor: ZfpCursor::new(self.meta()),
-            fetched: self.metadata_bytes(),
-        }
-    }
-
-    /// The guaranteed L∞ bound after `k` fetched planes — the model the
-    /// retrieval engine consumes as the primary-data ε.
-    pub fn bound_after(&self, k: u32) -> f64 {
-        bound_after_impl(
-            self.dims.len(),
-            self.planes.len() as u32,
-            self.capped,
-            self.max_e,
-            self.a_max,
-            k,
-        )
-    }
-
-    /// Serializes the stream.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_raw(b"PQRZ");
-        w.put_u8(self.dims.len() as u8);
-        for &d in &self.dims {
-            w.put_u64(d as u64);
-        }
-        w.put_i64(i64::from(self.max_e));
-        w.put_i64(i64::from(self.a_max));
-        w.put_u32(self.coeff_bits);
-        w.put_u8(u8::from(self.capped));
-        // Exponents as delta-coded i16: neighbouring blocks of smooth data
-        // share exponents, so the delta stream is mostly zero bytes and the
-        // byte-RLE collapses the table to a few bytes per long run — the
-        // per-block metadata tax matters for 1-D data (one block per 4
-        // samples).
-        w.put_bytes(&encode_exponent_table(&self.exponents));
-        w.put_u32(self.planes.len() as u32);
-        for p in &self.planes {
-            w.put_bytes(p);
-        }
-        w.finish()
-    }
-
-    /// Deserializes a stream, validating structural invariants.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self> {
-        let mut r = ByteReader::new(bytes);
-        if r.get_raw(4)? != b"PQRZ" {
-            return Err(PqrError::CorruptStream("bad zfp magic".into()));
-        }
-        let (dims, max_e, a_max, coeff_bits, capped, exponents) = read_header(&mut r)?;
-        let np = r.get_u32()?;
-        if np > MAX_TOTAL_PLANES {
-            return Err(PqrError::CorruptStream(format!("{np} planes")));
-        }
-        let mut planes = Vec::with_capacity(np as usize);
-        for _ in 0..np {
-            planes.push(r.get_bytes()?.to_vec());
-        }
-        Ok(Self {
-            dims,
-            exponents,
-            max_e,
-            a_max,
-            coeff_bits,
-            capped,
-            planes,
-        })
+    /// Splits the stream into its metadata and the plane payloads in fetch
+    /// order, moving the plane buffers out.
+    pub fn into_parts(self) -> (ZfpMeta, Vec<Vec<u8>>) {
+        (self.meta(), self.planes)
     }
 }
 
@@ -739,10 +607,9 @@ impl ZfpStream {
 /// words — it never sees where the plane payloads live. Planes are strictly
 /// ordered (most significant absolute plane first), so the owner fetches
 /// plane `planes_read()` from wherever the stream is stored and pushes its
-/// bytes in with [`ZfpCursor::push_plane`]. The borrowing [`ZfpReader`]
-/// and the fragment-addressed sources in `pqr-progressive` both drive the
-/// same cursor, so the error model cannot drift between local and remote
-/// paths.
+/// bytes in with [`ZfpCursor::push_plane`]. `pqr-progressive`'s field
+/// reader drives this cursor over every fragment source, so the error model
+/// is the same on local and remote paths.
 #[derive(Debug, Clone)]
 pub struct ZfpCursor {
     meta: ZfpMeta,
@@ -1099,78 +966,7 @@ impl ZfpCursor {
     }
 }
 
-/// Progressive reader over a [`ZfpStream`]: a [`ZfpCursor`] whose plane
-/// fetches are served from the borrowed, fully resident stream.
-///
-/// Byte accounting starts at the stream's metadata size (a remote retrieval
-/// always moves the header and exponent table first).
-#[derive(Debug, Clone)]
-pub struct ZfpReader<'a> {
-    stream: &'a ZfpStream,
-    cursor: ZfpCursor,
-    fetched: usize,
-}
-
-impl ZfpReader<'_> {
-    /// Guaranteed L∞ bound of [`ZfpReader::reconstruct`] at the current
-    /// fetch state.
-    pub fn guaranteed_bound(&self) -> f64 {
-        self.cursor.guaranteed_bound()
-    }
-
-    /// Total bytes this reader has "moved" (metadata + fetched planes).
-    pub fn total_fetched(&self) -> usize {
-        self.fetched
-    }
-
-    /// True when every stored plane has been fetched.
-    pub fn fully_fetched(&self) -> bool {
-        self.cursor.fully_fetched()
-    }
-
-    /// Planes consumed so far — the reader's resumable progress marker
-    /// (restore with [`ZfpReader::fetch_planes`] on a fresh reader).
-    pub fn planes_read(&self) -> u32 {
-        self.cursor.planes_read()
-    }
-
-    /// Fetches planes in order until the guaranteed bound is ≤ `eb` or the
-    /// stream is exhausted. Returns newly fetched bytes.
-    pub fn refine_to(&mut self, eb: f64) -> Result<usize> {
-        if eb < 0.0 || eb.is_nan() {
-            return Err(PqrError::InvalidRequest(format!("bad error bound {eb}")));
-        }
-        let mut newly = 0;
-        while self.guaranteed_bound() > eb && !self.fully_fetched() {
-            newly += self.push_next_plane()?;
-        }
-        Ok(newly)
-    }
-
-    /// Fetches `k` more planes regardless of a target — fixed-budget mode.
-    pub fn fetch_planes(&mut self, k: usize) -> Result<usize> {
-        let mut newly = 0;
-        for _ in 0..k {
-            if self.fully_fetched() {
-                break;
-            }
-            newly += self.push_next_plane()?;
-        }
-        Ok(newly)
-    }
-
-    fn push_next_plane(&mut self) -> Result<usize> {
-        let seg = &self.stream.planes[self.cursor.planes_read() as usize];
-        self.cursor.push_plane(seg)?;
-        self.fetched += seg.len();
-        Ok(seg.len())
-    }
-
-    /// Reconstructs the data representation from the planes fetched so far.
-    pub fn reconstruct(&self) -> Vec<f64> {
-        self.cursor.reconstruct()
-    }
-
+impl ZfpCursor {
     /// Reconstructs only the axis-aligned region `lo[a]..hi[a]` (half-open
     /// per axis), returning it as a dense row-major array of shape
     /// `hi[a] − lo[a]`.
@@ -1178,28 +974,25 @@ impl ZfpReader<'_> {
     /// This is the ZFP-signature **random access** property: only the 4^d
     /// blocks intersecting the region are decoded, so the compute cost
     /// scales with the region, not the array. The precision (and therefore
-    /// the error bound, [`ZfpReader::guaranteed_bound`]) is whatever the
-    /// fetched planes provide — region decoding composes with progressive
+    /// the error bound, [`ZfpCursor::guaranteed_bound`]) is whatever the
+    /// pushed planes provide — region decoding composes with progressive
     /// precision.
     ///
     /// ```
-    /// use pqr_zfp::ZfpRefactorer;
+    /// use pqr_zfp::{ZfpCursor, ZfpRefactorer};
     /// let data: Vec<f64> = (0..400).map(|i| (i as f64 * 0.1).sin()).collect();
-    /// let stream = ZfpRefactorer::new().refactor(&data, &[20, 20]).unwrap();
-    /// let mut reader = stream.reader();
-    /// reader.refine_to(1e-6).unwrap();
-    /// let window = reader.reconstruct_region(&[5, 5], &[9, 15]).unwrap();
+    /// let (meta, planes) = ZfpRefactorer::new().refactor(&data, &[20, 20]).unwrap().into_parts();
+    /// let mut cursor = ZfpCursor::new(meta);
+    /// for plane in &planes {
+    ///     if cursor.guaranteed_bound() <= 1e-6 {
+    ///         break;
+    ///     }
+    ///     cursor.push_plane(plane).unwrap();
+    /// }
+    /// let window = cursor.reconstruct_region(&[5, 5], &[9, 15]).unwrap();
     /// assert_eq!(window.len(), 4 * 10);
-    /// assert!((window[0] - data[5 * 20 + 5]).abs() <= reader.guaranteed_bound());
+    /// assert!((window[0] - data[5 * 20 + 5]).abs() <= cursor.guaranteed_bound());
     /// ```
-    pub fn reconstruct_region(&self, lo: &[usize], hi: &[usize]) -> Result<Vec<f64>> {
-        self.cursor.reconstruct_region(lo, hi)
-    }
-}
-
-impl ZfpCursor {
-    /// Region decode at the current precision — see
-    /// [`ZfpReader::reconstruct_region`] for the semantics.
     pub fn reconstruct_region(&self, lo: &[usize], hi: &[usize]) -> Result<Vec<f64>> {
         let dims = self.meta.dims.clone();
         if lo.len() != dims.len() || hi.len() != dims.len() {
@@ -1297,6 +1090,29 @@ mod tests {
                 (x * 11.0).sin() * 2.5 + (x * 41.0).cos() * 0.3 - 1.7 * x
             })
             .collect()
+    }
+
+    /// Pushes `stream`'s planes into `cursor` in order until the bound is
+    /// ≤ `eb`, the stream is exhausted, or `budget` planes have been pushed.
+    /// Returns the plane bytes pushed.
+    fn push_planes(cursor: &mut ZfpCursor, stream: &ZfpStream, eb: f64, budget: usize) -> usize {
+        let mut bytes = 0;
+        for _ in 0..budget {
+            if cursor.guaranteed_bound() <= eb || cursor.fully_fetched() {
+                break;
+            }
+            let plane = &stream.planes[cursor.planes_read() as usize];
+            cursor.push_plane(plane).unwrap();
+            bytes += plane.len();
+        }
+        bytes
+    }
+
+    /// A fresh cursor over `stream` refined to `eb`.
+    fn refined(stream: &ZfpStream, eb: f64) -> ZfpCursor {
+        let mut cursor = ZfpCursor::new(stream.meta());
+        push_planes(&mut cursor, stream, eb, usize::MAX);
+        cursor
     }
 
     /// Rebuilds a stream's planes through the scalar reference encoder.
@@ -1426,7 +1242,7 @@ mod tests {
     fn hostile_planes_fail_identically_through_both_cursors() {
         let data = field(400);
         let stream = ZfpRefactorer::new().refactor(&data, &[400]).unwrap();
-        let seg = stream.plane(5).unwrap();
+        let seg = &stream.planes[5];
         let mut hostile: Vec<Vec<u8>> = Vec::new();
         for cut in [0usize, 1, seg.len() / 2, seg.len().saturating_sub(1)] {
             hostile.push(seg[..cut.min(seg.len())].to_vec());
@@ -1441,7 +1257,7 @@ mod tests {
         for (i, bad) in hostile.iter().enumerate() {
             let advance = |mut c: ZfpCursor| -> (Result<()>, Vec<u64>) {
                 for p in 0..5 {
-                    c.push_plane(stream.plane(p).unwrap()).unwrap();
+                    c.push_plane(&stream.planes[p]).unwrap();
                 }
                 let r = c.push_plane(bad);
                 let words = c.digit_words();
@@ -1468,12 +1284,12 @@ mod tests {
         }
         let stream = ZfpRefactorer::new().refactor(&data, &[500]).unwrap();
         for target in (0..stream.num_planes()).step_by(9) {
-            let seg = stream.plane(target).unwrap();
+            let seg = &stream.planes[target];
             for cut in [0usize, seg.len() / 3, seg.len().saturating_sub(1)] {
                 let bad = &seg[..cut.min(seg.len())];
                 let drive = |mut c: ZfpCursor| {
                     for p in 0..target {
-                        c.push_plane(stream.plane(p).unwrap()).unwrap();
+                        c.push_plane(&stream.planes[p]).unwrap();
                     }
                     let r = c.push_plane(bad);
                     let words = c.digit_words();
@@ -1515,7 +1331,7 @@ mod tests {
             let drive = |mut c: ZfpCursor| {
                 let mut outcome = Vec::new();
                 for p in 0..stream.num_planes() {
-                    match c.push_plane(stream.plane(p).unwrap()) {
+                    match c.push_plane(&stream.planes[p]) {
                         Ok(()) => outcome.push(Ok(())),
                         Err(e) => {
                             outcome.push(Err(format!("{e}")));
@@ -1541,15 +1357,12 @@ mod tests {
                 *v *= 1e-9;
             }
             let r = ZfpRefactorer::new();
-            let serial = r.refactor(&data, &dims).unwrap().to_bytes();
+            let serial = r.refactor(&data, &dims).unwrap();
             for workers in [2usize, 8] {
-                let par = r
-                    .refactor_with_workers(&data, &dims, workers)
-                    .unwrap()
-                    .to_bytes();
+                let par = r.refactor_with_workers(&data, &dims, workers).unwrap();
                 assert_eq!(par, serial, "dims {dims:?} workers {workers}");
             }
-            let scalar = r.refactor_scalar(&data, &dims).unwrap().to_bytes();
+            let scalar = r.refactor_scalar(&data, &dims).unwrap();
             assert_eq!(scalar, serial, "dims {dims:?} scalar oracle");
         }
     }
@@ -1570,15 +1383,15 @@ mod tests {
     fn refine_meets_bounds_and_real_error_below_guarantee() {
         let data = field(3000);
         let stream = ZfpRefactorer::new().refactor(&data, &[3000]).unwrap();
-        let mut reader = stream.reader();
+        let mut cursor = ZfpCursor::new(stream.meta());
         for eb in [1e-1, 1e-3, 1e-6, 1e-10] {
-            reader.refine_to(eb).unwrap();
-            assert!(reader.guaranteed_bound() <= eb, "eb={eb}");
-            let real = max_abs_diff(&data, &reader.reconstruct());
+            push_planes(&mut cursor, &stream, eb, usize::MAX);
+            assert!(cursor.guaranteed_bound() <= eb, "eb={eb}");
+            let real = max_abs_diff(&data, &cursor.reconstruct());
             assert!(
-                real <= reader.guaranteed_bound(),
+                real <= cursor.guaranteed_bound(),
                 "eb={eb}: real {real} > guarantee {}",
-                reader.guaranteed_bound()
+                cursor.guaranteed_bound()
             );
         }
     }
@@ -1587,11 +1400,10 @@ mod tests {
     fn full_fetch_reaches_rounding_floor() {
         let data = field(500);
         let stream = ZfpRefactorer::new().refactor(&data, &[500]).unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(0.0).unwrap();
-        assert!(reader.fully_fetched());
-        let real = max_abs_diff(&data, &reader.reconstruct());
-        assert!(real <= reader.guaranteed_bound());
+        let cursor = refined(&stream, 0.0);
+        assert!(cursor.fully_fetched());
+        let real = max_abs_diff(&data, &cursor.reconstruct());
+        assert!(real <= cursor.guaranteed_bound());
         assert!(real < 1e-14, "residual {real}");
     }
 
@@ -1601,26 +1413,34 @@ mod tests {
             let n: usize = dims.iter().product();
             let data = field(n);
             let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-            let mut reader = stream.reader();
-            reader.refine_to(1e-6).unwrap();
-            let real = max_abs_diff(&data, &reader.reconstruct());
-            assert!(real <= reader.guaranteed_bound(), "dims {dims:?}");
-            assert!(reader.guaranteed_bound() <= 1e-6, "dims {dims:?}");
+            let cursor = refined(&stream, 1e-6);
+            let real = max_abs_diff(&data, &cursor.reconstruct());
+            assert!(real <= cursor.guaranteed_bound(), "dims {dims:?}");
+            assert!(cursor.guaranteed_bound() <= 1e-6, "dims {dims:?}");
         }
     }
 
     #[test]
-    fn byte_accounting_cumulative() {
+    fn refinement_is_incremental() {
         let data = field(4000);
         let stream = ZfpRefactorer::new().refactor(&data, &[4000]).unwrap();
-        let mut reader = stream.reader();
-        assert_eq!(reader.total_fetched(), stream.metadata_bytes());
-        let b1 = reader.refine_to(1e-2).unwrap();
-        let t1 = reader.total_fetched();
-        let b2 = reader.refine_to(1e-8).unwrap();
+        let mut cursor = ZfpCursor::new(stream.meta());
+        assert_eq!(cursor.planes_read(), 0);
+        let b1 = push_planes(&mut cursor, &stream, 1e-2, usize::MAX);
+        let k1 = cursor.planes_read();
+        let b2 = push_planes(&mut cursor, &stream, 1e-8, usize::MAX);
         assert!(b1 > 0 && b2 > 0);
-        assert_eq!(reader.total_fetched(), t1 + b2);
-        assert_eq!(reader.refine_to(1e-5).unwrap(), 0, "already satisfied");
+        assert!(cursor.planes_read() > k1);
+        let pushed: usize = stream.planes[..cursor.planes_read() as usize]
+            .iter()
+            .map(Vec::len)
+            .sum();
+        assert_eq!(pushed, b1 + b2);
+        assert_eq!(
+            push_planes(&mut cursor, &stream, 1e-5, usize::MAX),
+            0,
+            "already satisfied"
+        );
     }
 
     #[test]
@@ -1630,9 +1450,8 @@ mod tests {
         let mut sizes = Vec::new();
         for i in 1..=20 {
             let eb = 0.1 * (2.0f64).powi(-i);
-            let mut reader = stream.reader();
-            reader.refine_to(eb).unwrap();
-            sizes.push(reader.total_fetched());
+            let mut cursor = ZfpCursor::new(stream.meta());
+            sizes.push(push_planes(&mut cursor, &stream, eb, usize::MAX));
         }
         let distinct: std::collections::BTreeSet<_> = sizes.iter().collect();
         assert!(
@@ -1649,10 +1468,10 @@ mod tests {
     fn all_zero_field_is_free() {
         let stream = ZfpRefactorer::new().refactor(&[0.0; 256], &[256]).unwrap();
         assert_eq!(stream.num_planes(), 0);
-        let mut reader = stream.reader();
-        assert_eq!(reader.guaranteed_bound(), 0.0);
-        reader.refine_to(0.0).unwrap();
-        assert!(reader.reconstruct().iter().all(|&v| v == 0.0));
+        let cursor = ZfpCursor::new(stream.meta());
+        assert_eq!(cursor.guaranteed_bound(), 0.0);
+        assert!(cursor.fully_fetched());
+        assert!(cursor.reconstruct().iter().all(|&v| v == 0.0));
     }
 
     #[test]
@@ -1664,37 +1483,40 @@ mod tests {
             *v = 1000.0;
         }
         let stream = ZfpRefactorer::new().refactor(&data, &[4096]).unwrap();
-        let sizes = stream.segment_sizes();
+        let sizes: Vec<usize> = stream.plane_payloads().map(<[u8]>::len).collect();
         let early: usize = sizes[..10].iter().sum();
         let late: usize = sizes[sizes.len() - 10..].iter().sum();
         assert!(early * 4 < late, "early {early} B vs late {late} B");
     }
 
     #[test]
-    fn serialization_roundtrip() {
+    fn parts_and_metadata_roundtrip() {
         let data = field(777);
         let stream = ZfpRefactorer::new().refactor(&data, &[777]).unwrap();
-        let bytes = stream.to_bytes();
-        let stream2 = ZfpStream::from_bytes(&bytes).unwrap();
-        let mut a = stream.reader();
-        let mut b = stream2.reader();
-        a.refine_to(1e-7).unwrap();
-        b.refine_to(1e-7).unwrap();
-        assert_eq!(a.reconstruct(), b.reconstruct());
-        assert_eq!(a.total_fetched(), b.total_fetched());
+        let meta = stream.meta();
+        assert_eq!(ZfpMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
+        let payloads: Vec<Vec<u8>> = stream.plane_payloads().map(<[u8]>::to_vec).collect();
+        let (parts_meta, planes) = stream.into_parts();
+        assert_eq!(parts_meta, meta);
+        assert_eq!(planes, payloads);
+        assert_eq!(planes.len(), meta.num_planes() as usize);
     }
 
     #[test]
-    fn corrupt_streams_rejected_not_panicking() {
+    fn corrupt_meta_rejected_not_panicking() {
         let data = field(64);
         let stream = ZfpRefactorer::new().refactor(&data, &[64]).unwrap();
-        let bytes = stream.to_bytes();
-        assert!(ZfpStream::from_bytes(&bytes[..10]).is_err());
+        let bytes = stream.meta().to_bytes();
+        assert!(ZfpMeta::from_bytes(&bytes[..10]).is_err());
         let mut bad = bytes.clone();
         bad[0] = b'X';
-        assert!(ZfpStream::from_bytes(&bad).is_err());
-        for cut in [5usize, 20, bytes.len() / 2] {
-            let _ = ZfpStream::from_bytes(&bytes[..cut]); // must not panic
+        assert!(ZfpMeta::from_bytes(&bad).is_err());
+        let mut trailing = bytes.clone();
+        trailing.push(0);
+        assert!(ZfpMeta::from_bytes(&trailing).is_err());
+        for cut in 0..bytes.len() {
+            // every truncation fails cleanly: the plane count comes last
+            assert!(ZfpMeta::from_bytes(&bytes[..cut]).is_err(), "cut {cut}");
         }
     }
 
@@ -1719,10 +1541,13 @@ mod tests {
     #[test]
     fn bound_decreases_monotonically() {
         let data = field(1000);
-        let stream = ZfpRefactorer::new().refactor(&data, &[1000]).unwrap();
+        let meta = ZfpRefactorer::new()
+            .refactor(&data, &[1000])
+            .unwrap()
+            .meta();
         let mut prev = f64::INFINITY;
-        for k in 0..=stream.num_planes() as u32 {
-            let b = stream.bound_after(k);
+        for k in 0..=meta.num_planes() {
+            let b = meta.bound_after(k);
             assert!(b <= prev, "k={k}: {b} > {prev}");
             prev = b;
         }
@@ -1734,13 +1559,12 @@ mod tests {
             let n: usize = dims.iter().product();
             let data = field(n);
             let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-            let mut reader = stream.reader();
-            reader.refine_to(1e-8).unwrap();
-            let full = reader.reconstruct();
+            let cursor = refined(&stream, 1e-8);
+            let full = cursor.reconstruct();
             // a window strictly inside the array, not block-aligned
             let lo: Vec<usize> = dims.iter().map(|&d| (d / 3).min(d - 1)).collect();
             let hi: Vec<usize> = dims.iter().map(|&d| (2 * d / 3).max(d / 3 + 1)).collect();
-            let region = reader.reconstruct_region(&lo, &hi).unwrap();
+            let region = cursor.reconstruct_region(&lo, &hi).unwrap();
             // compare against the window of the full reconstruction
             let nd = dims.len();
             let mut strides = vec![1usize; nd];
@@ -1775,9 +1599,8 @@ mod tests {
         let dims = vec![30usize, 40];
         let data = field(1200);
         let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(1e-5).unwrap();
-        let region = reader.reconstruct_region(&[5, 10], &[25, 30]).unwrap();
+        let cursor = refined(&stream, 1e-5);
+        let region = cursor.reconstruct_region(&[5, 10], &[25, 30]).unwrap();
         let mut worst = 0.0f64;
         let mut k = 0;
         for i in 5..25 {
@@ -1786,42 +1609,42 @@ mod tests {
                 k += 1;
             }
         }
-        assert!(worst <= reader.guaranteed_bound());
+        assert!(worst <= cursor.guaranteed_bound());
     }
 
     #[test]
     fn region_edge_cases() {
         let data = field(64);
         let stream = ZfpRefactorer::new().refactor(&data, &[64]).unwrap();
-        let reader = stream.reader();
+        let cursor = ZfpCursor::new(stream.meta());
         // empty window
-        assert_eq!(reader.reconstruct_region(&[5], &[5]).unwrap().len(), 0);
+        assert_eq!(cursor.reconstruct_region(&[5], &[5]).unwrap().len(), 0);
         // full window at zero planes = all zeros
-        let w = reader.reconstruct_region(&[0], &[64]).unwrap();
+        let w = cursor.reconstruct_region(&[0], &[64]).unwrap();
         assert_eq!(w.len(), 64);
         // bad requests
-        assert!(reader.reconstruct_region(&[5], &[3]).is_err());
-        assert!(reader.reconstruct_region(&[0], &[65]).is_err());
-        assert!(reader.reconstruct_region(&[0, 0], &[1, 1]).is_err());
+        assert!(cursor.reconstruct_region(&[5], &[3]).is_err());
+        assert!(cursor.reconstruct_region(&[0], &[65]).is_err());
+        assert!(cursor.reconstruct_region(&[0, 0], &[1, 1]).is_err());
     }
 
     #[test]
     fn real_error_below_guarantee_at_every_plane_depth() {
         let data = field(600);
         let stream = ZfpRefactorer::new().refactor(&data, &[600]).unwrap();
-        let mut reader = stream.reader();
+        let mut cursor = ZfpCursor::new(stream.meta());
         loop {
-            let real = max_abs_diff(&data, &reader.reconstruct());
+            let real = max_abs_diff(&data, &cursor.reconstruct());
             assert!(
-                real <= reader.guaranteed_bound(),
+                real <= cursor.guaranteed_bound(),
                 "k={}: real {real} > bound {}",
-                reader.planes_read(),
-                reader.guaranteed_bound()
+                cursor.planes_read(),
+                cursor.guaranteed_bound()
             );
-            if reader.fully_fetched() {
+            if cursor.fully_fetched() {
                 break;
             }
-            reader.fetch_planes(1).unwrap();
+            push_planes(&mut cursor, &stream, 0.0, 1);
         }
     }
 }

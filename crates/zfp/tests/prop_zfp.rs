@@ -3,8 +3,34 @@
 //! every structural codec must roundtrip or fail cleanly.
 
 use pqr_util::stats::max_abs_diff;
-use pqr_zfp::{transform, ZfpRefactorer, ZfpStream};
+use pqr_zfp::{transform, ZfpCursor, ZfpMeta, ZfpRefactorer};
 use proptest::prelude::*;
+
+/// Refactors `data` (shape `dims`) and returns a fresh cursor plus the plane
+/// payloads in fetch order.
+fn cursor_for(data: &[f64], dims: &[usize]) -> (ZfpCursor, Vec<Vec<u8>>) {
+    let (meta, planes) = ZfpRefactorer::new()
+        .refactor(data, dims)
+        .unwrap()
+        .into_parts();
+    (ZfpCursor::new(meta), planes)
+}
+
+/// Pushes planes in order until the bound is ≤ `eb`, the stream is
+/// exhausted, or `budget` planes have been pushed. Returns the plane bytes
+/// pushed.
+fn push_planes(cursor: &mut ZfpCursor, planes: &[Vec<u8>], eb: f64, budget: usize) -> usize {
+    let mut bytes = 0;
+    for _ in 0..budget {
+        if cursor.guaranteed_bound() <= eb || cursor.fully_fetched() {
+            break;
+        }
+        let plane = &planes[cursor.planes_read() as usize];
+        cursor.push_plane(plane).unwrap();
+        bytes += plane.len();
+    }
+    bytes
+}
 
 /// Arbitrary finite f64 fields with wildly mixed scales.
 fn field_strategy(max_len: usize) -> impl Strategy<Value = Vec<f64>> {
@@ -28,21 +54,19 @@ proptest! {
 
     #[test]
     fn guarantee_dominates_real_error_1d(data in field_strategy(600)) {
-        let dims = vec![data.len()];
-        let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-        let mut reader = stream.reader();
+        let (mut cursor, planes) = cursor_for(&data, &[data.len()]);
         // check at a few depths including exhaustion
         for _ in 0..6 {
-            let real = max_abs_diff(&data, &reader.reconstruct());
+            let real = max_abs_diff(&data, &cursor.reconstruct());
             prop_assert!(
-                real <= reader.guaranteed_bound(),
-                "real {real} > bound {}", reader.guaranteed_bound()
+                real <= cursor.guaranteed_bound(),
+                "real {real} > bound {}", cursor.guaranteed_bound()
             );
-            reader.fetch_planes(11).unwrap();
+            push_planes(&mut cursor, &planes, 0.0, 11);
         }
-        reader.refine_to(0.0).unwrap();
-        let real = max_abs_diff(&data, &reader.reconstruct());
-        prop_assert!(real <= reader.guaranteed_bound());
+        push_planes(&mut cursor, &planes, 0.0, usize::MAX);
+        let real = max_abs_diff(&data, &cursor.reconstruct());
+        prop_assert!(real <= cursor.guaranteed_bound());
     }
 
     #[test]
@@ -57,13 +81,12 @@ proptest! {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;
             ((s as f64 / u64::MAX as f64) - 0.5) * 2e4
         }).collect();
-        let stream = ZfpRefactorer::new().refactor(&data, &[rows, cols]).unwrap();
-        let mut reader = stream.reader();
+        let (mut cursor, planes) = cursor_for(&data, &[rows, cols]);
         for eb in [1e2, 1e-2, 1e-8] {
-            reader.refine_to(eb).unwrap();
-            let real = max_abs_diff(&data, &reader.reconstruct());
-            prop_assert!(real <= reader.guaranteed_bound());
-            prop_assert!(reader.guaranteed_bound() <= eb || reader.fully_fetched());
+            push_planes(&mut cursor, &planes, eb, usize::MAX);
+            let real = max_abs_diff(&data, &cursor.reconstruct());
+            prop_assert!(real <= cursor.guaranteed_bound());
+            prop_assert!(cursor.guaranteed_bound() <= eb || cursor.fully_fetched());
         }
     }
 
@@ -72,35 +95,27 @@ proptest! {
         data in field_strategy(400),
         log_eb in -14.0f64..2.0,
     ) {
-        let dims = vec![data.len()];
         let eb = 10f64.powf(log_eb);
-        let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-        let mut reader = stream.reader();
-        reader.refine_to(eb).unwrap();
-        prop_assert!(reader.guaranteed_bound() <= eb || reader.fully_fetched());
-        let real = max_abs_diff(&data, &reader.reconstruct());
-        prop_assert!(real <= reader.guaranteed_bound());
+        let (mut cursor, planes) = cursor_for(&data, &[data.len()]);
+        push_planes(&mut cursor, &planes, eb, usize::MAX);
+        prop_assert!(cursor.guaranteed_bound() <= eb || cursor.fully_fetched());
+        let real = max_abs_diff(&data, &cursor.reconstruct());
+        prop_assert!(real <= cursor.guaranteed_bound());
     }
 
     #[test]
-    fn serialization_roundtrips(data in field_strategy(300)) {
-        let dims = vec![data.len()];
-        let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
-        let stream2 = ZfpStream::from_bytes(&stream.to_bytes()).unwrap();
-        let mut a = stream.reader();
-        let mut b = stream2.reader();
-        a.refine_to(1e-6).unwrap();
-        b.refine_to(1e-6).unwrap();
-        prop_assert_eq!(a.reconstruct(), b.reconstruct());
+    fn metadata_roundtrips(data in field_strategy(300)) {
+        let meta = ZfpRefactorer::new().refactor(&data, &[data.len()]).unwrap().meta();
+        prop_assert_eq!(ZfpMeta::from_bytes(&meta.to_bytes()).unwrap(), meta);
     }
 
     #[test]
-    fn hostile_streams_never_panic(junk in proptest::collection::vec(any::<u8>(), 0..300)) {
-        let _ = ZfpStream::from_bytes(&junk);
+    fn hostile_meta_never_panics(junk in proptest::collection::vec(any::<u8>(), 0..300)) {
+        let _ = ZfpMeta::from_bytes(&junk);
         // junk with a valid magic prefix digs deeper into the parser
-        let mut prefixed = b"PQRZ".to_vec();
+        let mut prefixed = b"PQZM".to_vec();
         prefixed.extend_from_slice(&junk);
-        let _ = ZfpStream::from_bytes(&prefixed);
+        let _ = ZfpMeta::from_bytes(&prefixed);
     }
 
     #[test]
@@ -131,10 +146,9 @@ proptest! {
             s ^= s << 13; s ^= s >> 7; s ^= s << 17;
             ((s as f64 / u64::MAX as f64) - 0.5) * 100.0
         }).collect();
-        let stream = ZfpRefactorer::new().refactor(&data, &[rows, cols]).unwrap();
-        let mut reader = stream.reader();
-        reader.fetch_planes(planes).unwrap();
-        let full = reader.reconstruct();
+        let (mut cursor, payloads) = cursor_for(&data, &[rows, cols]);
+        push_planes(&mut cursor, &payloads, 0.0, planes);
+        let full = cursor.reconstruct();
 
         let lo = [
             ((rows as f64) * frac_lo.min(frac_hi)) as usize,
@@ -144,7 +158,7 @@ proptest! {
             (((rows as f64) * frac_lo.max(frac_hi)) as usize).max(lo[0]).min(rows),
             (((cols as f64) * frac_lo.max(frac_hi)) as usize).max(lo[1]).min(cols),
         ];
-        let region = reader.reconstruct_region(&lo, &hi).unwrap();
+        let region = cursor.reconstruct_region(&lo, &hi).unwrap();
         let (wr, wc) = (hi[0] - lo[0], hi[1] - lo[1]);
         prop_assert_eq!(region.len(), wr * wc);
         for r in 0..wr {
@@ -162,15 +176,13 @@ proptest! {
 
     #[test]
     fn fetched_bytes_monotone_in_precision(data in field_strategy(500)) {
-        let dims = vec![data.len()];
-        let stream = ZfpRefactorer::new().refactor(&data, &dims).unwrap();
+        let (fresh, planes) = cursor_for(&data, &[data.len()]);
         let mut prev = 0usize;
         for i in 1..=12 {
             let eb = 10f64.powi(-i);
-            let mut reader = stream.reader();
-            reader.refine_to(eb).unwrap();
-            prop_assert!(reader.total_fetched() >= prev);
-            prev = reader.total_fetched();
+            let fetched = push_planes(&mut fresh.clone(), &planes, eb, usize::MAX);
+            prop_assert!(fetched >= prev);
+            prev = fetched;
         }
     }
 }

@@ -94,9 +94,16 @@ fn main() -> Result<()> {
     // offers block-level random access: only the 4³ blocks under the window
     // are decoded, composing with whatever precision has been fetched.
     let u = raw.field("U").unwrap();
-    let stream = ZfpRefactorer::new().refactor(u, &raw.dims)?;
-    let mut zr = stream.reader();
-    zr.refine_to(1e-3 * stats::value_range(u))?;
+    let (meta, planes) = ZfpRefactorer::new().refactor(u, &raw.dims)?.into_parts();
+    let mut fetched = meta.to_bytes().len();
+    let mut zr = pqr::zfp::ZfpCursor::new(meta);
+    for plane in &planes {
+        if zr.guaranteed_bound() <= 1e-3 * stats::value_range(u) {
+            break;
+        }
+        zr.push_plane(plane)?;
+        fetched += plane.len();
+    }
     let (py, px) = (true_peak / nx, true_peak % nx);
     let lo = [0, py.saturating_sub(8), px.saturating_sub(8)];
     let hi = [nz.min(4), (py + 8).min(ny), (px + 8).min(nx)];
@@ -104,7 +111,7 @@ fn main() -> Result<()> {
     println!(
         "Q4 eye close-up (PZFP region {lo:?}..{hi:?}): {} samples decoded from {} fetched B, bound {:.2e}",
         window.len(),
-        zr.total_fetched(),
+        fetched,
         zr.guaranteed_bound()
     );
     // spot-check the window against the raw data under the global bound

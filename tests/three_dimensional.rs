@@ -18,17 +18,16 @@ fn mgard_3d_bound_holds_on_anisotropic_volume() {
             (l as f64 * 0.9).sin() + (j as f64 * 0.21).cos() * 2.0 + (k as f64 * 0.5).sin() * 0.3
         })
         .collect();
-    for basis in [Basis::Hierarchical, Basis::Orthogonal] {
-        let stream = MgardRefactorer::new(basis).refactor(&data, &dims).unwrap();
-        let mut reader = stream.reader();
+    for scheme in [Scheme::PmgardHb, Scheme::PmgardOb] {
+        let field = RefactoredField::refactor(scheme, &data, &dims).unwrap();
+        let mut reader = field.reader();
         for eb in [1e-2, 1e-5, 1e-9] {
             reader.refine_to(eb).unwrap();
-            assert!(reader.guaranteed_bound() <= eb, "{basis:?} eb={eb}");
-            let recon = reader.reconstruct();
-            let real = stats::max_abs_diff(&data, &recon);
+            assert!(reader.guaranteed_bound() <= eb, "{scheme:?} eb={eb}");
+            let real = stats::max_abs_diff(&data, reader.data());
             assert!(
                 real <= reader.guaranteed_bound(),
-                "{basis:?} eb={eb}: {real} > {}",
+                "{scheme:?} eb={eb}: {real} > {}",
                 reader.guaranteed_bound()
             );
         }
